@@ -2,8 +2,8 @@
  * @file
  * Simulation-speed benchmark for the batched per-cycle engine: runs the
  * Figure 2 grid (all SPEC-inspired workloads x {bdw, knl}) once with the
- * batched engine (packed cycle records + idle skip-ahead) and once with
- * the per-cycle reference engine, and reports host cycles/second for
+ * batched engine (idle-run folding + skip-ahead) and once with the
+ * per-cycle reference engine, and reports host cycles/second for
  * both plus the speedup ratio.
  *
  * Output is BENCH_simspeed.json (path overridable via
@@ -146,7 +146,7 @@ main(int argc, char **argv)
 
     const std::uint64_t instrs = bench::benchInstrs(200'000);
     bench::banner("simspeed",
-                  "batched cycle-record engine vs per-cycle reference on "
+                  "batched engine vs per-cycle reference on "
                   "the Fig. 2 grid");
 
     const std::vector<std::string> machines = {"bdw", "knl"};

@@ -20,15 +20,12 @@
  * stack), which is exactly the integration style the paper recommends for
  * simulators (§IV: negligible overhead).
  *
- * Two accounting engines share that observation contract
- * (docs/performance.md):
- *  - the batched engine (default) packs each CycleState into a
- *    stacks::CycleRecord ring consumed in spans via tickBatch(), merges
- *    runs of identical idle cycles, and fast-forwards `now_` across
- *    provably quiet spans to the next writeback/refill/redirect event;
- *  - the reference engine (CoreParams::batched_accounting = false) keeps
- *    the original one-tick-per-cycle path and never skips, serving as the
- *    golden baseline the batched engine is checked against.
+ * A run of identical idle cycles is held as one pending CycleState plus
+ * a cycle count and handed to the accountants in a single tick(state, n);
+ * provably quiet spans extend that run while `now_` skips ahead to the
+ * next writeback/refill/redirect event (docs/performance.md).
+ * CoreParams::batched_accounting = false turns off both the fold and the
+ * skip and ticks every cycle on its own.
  */
 
 #ifndef STACKSCOPE_CORE_OOO_CORE_HPP
@@ -44,7 +41,6 @@
 #include "common/types.hpp"
 #include "core/wb_calendar.hpp"
 #include "stacks/cpi_accountant.hpp"
-#include "stacks/cycle_record.hpp"
 #include "stacks/cycle_state.hpp"
 #include "stacks/flops_accountant.hpp"
 #include "trace/trace_source.hpp"
@@ -82,10 +78,11 @@ struct CoreParams
     bool accounting_enabled = true;
 
     /**
-     * Engine selection: true (default) drives the accountants through the
-     * packed CycleRecord ring with idle-run merging and skip-ahead; false
-     * retains the per-cycle reference path (SimOptions::reference_engine,
-     * the golden baseline of the bit-identity suite).
+     * Engine selection: true (default) folds runs of identical idle
+     * cycles into one accountant call and skips ahead across provably
+     * quiet spans; false ticks every cycle on its own, with no fold and
+     * no skip: the per-cycle oracle the golden identity suite compares
+     * against (SimOptions::reference_engine).
      */
     bool batched_accounting = true;
 
@@ -118,7 +115,8 @@ struct CoreParams
  * Wall-time breakdown of the pipeline stages, accumulated by
  * OooCore::cycleProfiled() when a profile sink is attached
  * (`bench/simspeed --profile`). Nanoseconds of std::chrono::steady_clock;
- * `accounting_ns` covers record packing/ticking plus skip-ahead.
+ * `accounting_ns` covers the accountant ticks, the pending idle run and
+ * skip-ahead.
  */
 struct StageProfile
 {
@@ -180,19 +178,6 @@ class OooCore
     void resetMeasurement();
 
     /**
-     * Runtime gate for idle skip-ahead (on by default). Drivers turn it
-     * off when an observer needs to see every individual cycle (the
-     * pipeline tracer). It has no effect in the reference engine or with
-     * a shared uncore, where skip is never legal.
-     */
-    void
-    setSkipAheadEnabled(bool on)
-    {
-        skip_user_enabled_ = on;
-        updateSkipAllowed();
-    }
-
-    /**
      * Attach a per-stage wall-time profile sink (nullptr detaches).
      * While attached, cycle() routes through a timed twin that brackets
      * each stage with steady_clock reads; when detached the hot path pays
@@ -233,9 +218,9 @@ class OooCore
                    : static_cast<double>(cycles()) /
                          static_cast<double>(stats_.instrs_committed);
     }
-    /** Per-stage accountant; drains any batched records first. */
+    /** Per-stage accountant; hands over the pending idle run first. */
     const stacks::CpiAccountant &accountant(stacks::Stage stage) const;
-    /** FLOPS accountant; drains any batched records first. */
+    /** FLOPS accountant; hands over the pending idle run first. */
     const stacks::FlopsAccountant &flopsAccountant() const;
     /** The observation record of the most recently executed cycle. */
     const stacks::CycleState &cycleState() const { return cs_; }
@@ -280,8 +265,6 @@ class OooCore
     };
 
     static constexpr std::uint64_t kScoreboardSize = 4096;
-    /** Record ring capacity before a forced drain into the accountants. */
-    static constexpr std::size_t kBatchCapacity = 256;
     /**
      * Counting-filter buckets for pending-store word addresses (power of
      * two; collisions only cost a redundant scan, never a missed one).
@@ -297,17 +280,12 @@ class OooCore
     void cycleProfiled();
     /** One descheduled (yield) step, shared by cycle()/cycleProfiled(). */
     void stepUnsched();
-    void account();
-    void accountUnsched(Cycle span);
+    /** Account cs_ for @p n cycles: extend the pending idle run or tick. */
+    void account(Cycle n = 1);
+    /** Hand the pending idle run to the four accountants in one call. */
+    void flushIdleRun();
+    void tickAccountants(const stacks::CycleState &s, Cycle n);
     void maybeSkipAhead();
-    void flushBatch();
-    void appendRecord(const stacks::CycleRecord &rec);
-    void
-    updateSkipAllowed()
-    {
-        skip_allowed_ = params_.batched_accounting && skip_user_enabled_ &&
-                        !has_shared_uncore_;
-    }
 
     void fetchCorrectPath(unsigned budget);
     void fetchWrongPath(unsigned budget);
@@ -434,12 +412,13 @@ class OooCore
     stacks::FlopsAccountant flops_;
     stacks::CycleState cs_;
     bool accounting_finalized_ = false;
+    /** Pending idle run: idle_run_ observed on idle_run_cycles_ cycles. */
+    stacks::CycleState idle_run_;
+    Cycle idle_run_cycles_ = 0;
 
-    // Batched engine state.
-    std::vector<stacks::CycleRecord> batch_;
+    // Skip-ahead state.
     bool progress_ = false;  ///< any state mutation in the current cycle
-    bool has_shared_uncore_ = false;
-    bool skip_user_enabled_ = true;
+    /** Folding is on and no other core shares the uncore. */
     bool skip_allowed_ = false;
     Cycle cycle_horizon_ = kNeverCycle;
     StageProfile *profile_ = nullptr;

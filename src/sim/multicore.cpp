@@ -83,7 +83,7 @@ simulateMulticore(const MachineConfig &machine,
         core::CoreParams params = machine.core;
         params.spec_mode = options.spec_mode;
         params.accounting_enabled = options.accounting;
-        // Batched accounting is per-core and legal under lockstep; idle
+        // Idle-run folding is per-core and legal under lockstep; idle
         // skip-ahead is not (shared-uncore timing), and the core disables
         // it itself when constructed with a shared uncore.
         params.batched_accounting = !options.reference_engine;

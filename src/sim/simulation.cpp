@@ -76,7 +76,10 @@ simulate(const MachineConfig &machine, const trace::TraceSource &trace,
     core::CoreParams params = machine.core;
     params.spec_mode = options.spec_mode;
     params.accounting_enabled = options.accounting;
-    params.batched_accounting = !options.reference_engine;
+    // The pipeline tracer observes every individual cycle, so it runs the
+    // per-cycle engine (no idle fold, no skip-ahead).
+    params.batched_accounting =
+        !options.reference_engine && !options.obs.trace_events;
     if (options.fault &&
         validate::targetOf(options.fault->kind) == FaultTarget::kConfig)
         validate::applyToConfig(*options.fault, params);
@@ -95,11 +98,6 @@ simulate(const MachineConfig &machine, const trace::TraceSource &trace,
     std::optional<obs::PipelineTracer> tracer;
     if (options.obs.trace_events)
         tracer.emplace(options.obs.trace_capacity);
-    // The tracer must observe every individual cycle, so idle skip-ahead
-    // is illegal under it (it is also off in the reference engine and
-    // with a shared uncore; see OooCore::setSkipAheadEnabled).
-    if (tracer)
-        core.setSkipAheadEnabled(false);
 
     validate::Watchdog watchdog({options.max_cycles,
                                  options.watchdog_cycles,

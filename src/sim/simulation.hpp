@@ -29,11 +29,12 @@ struct SimOptions
     stacks::SpeculationMode spec_mode = stacks::SpeculationMode::kOracle;
     bool accounting = true;
     /**
-     * Select the per-cycle reference accounting engine instead of the
-     * default batched one (CLI `--engine reference`). The reference
-     * engine ticks every accountant every cycle and never skips ahead;
-     * it exists as the golden baseline for the bit-identity suite and
-     * for bench/simspeed (docs/performance.md).
+     * Select the per-cycle reference engine instead of the default
+     * batched one (CLI `--engine reference`): every cycle ticks the
+     * accountants on its own, with no idle-run fold and no skip-ahead
+     * (CoreParams::batched_accounting = false). It is the per-cycle
+     * oracle of the bit-identity suite and of bench/simspeed
+     * (docs/performance.md).
      */
     bool reference_engine = false;
     /** Safety valve; 0 = unlimited. Truncates the run without error. */

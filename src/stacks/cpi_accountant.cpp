@@ -15,7 +15,6 @@ CpiAccountant::CpiAccountant(const CpiAccountantConfig &config)
                               ">= 1")
             .withContext("stage", std::string(toString(config_.stage)));
     }
-    buildStallTable();
 }
 
 void
@@ -134,193 +133,60 @@ CpiAccountant::classifyCommit(bool rob_empty, bool head_incomplete,
 }
 
 void
-CpiAccountant::buildStallTable()
-{
-    namespace rf = record_flags;
-    // Resolve once which packed flag answers "stage empty" for this
-    // stage and speculation mode; stallKey() then works on any record.
-    const bool oracle = config_.spec_mode == SpeculationMode::kOracle;
-    switch (config_.stage) {
-      case Stage::kDispatch:
-        empty_mask_ = oracle ? rf::kFeHasCorrect : rf::kFeHasAny;
-        empty_inverted_ = true;  // flag says "has", emptiness is its absence
-        break;
-      case Stage::kIssue:
-        empty_mask_ = oracle ? rf::kRsEmptyCorrect : rf::kRsEmptyAny;
-        empty_inverted_ = false;
-        break;
-      case Stage::kCommit:
-        empty_mask_ = oracle ? rf::kRobEmptyCorrect : rf::kRobEmptyAny;
-        empty_inverted_ = false;
-        break;
-      case Stage::kCount:
-        throw StackscopeError(ErrorCategory::kInternal,
-                              "CpiAccountant configured with Stage::kCount");
-    }
-
-    // Enumerate every stall key through the same classify functions the
-    // per-cycle reference path uses, so the table cannot drift from the
-    // branch logic it replaces.
-    for (std::size_t key = 0; key < kStallTableSize; ++key) {
-        const bool stage_empty = key & 0x1;
-        const bool backend_full = key & 0x2;
-        const bool head_incomplete = key & 0x4;
-        const unsigned fe_val = (key >> 4) & 0x7;
-        const auto head_blame = static_cast<BackendBlame>((key >> 7) & 0x3);
-        const auto issue_blame = static_cast<BackendBlame>((key >> 9) & 0x3);
-        CpiComponent c = CpiComponent::kOther;
-        if (fe_val <= static_cast<unsigned>(FrontendReason::kDrain)) {
-            const auto fe_reason = static_cast<FrontendReason>(fe_val);
-            switch (config_.stage) {
-              case Stage::kDispatch:
-                c = classifyDispatch(stage_empty, backend_full, fe_reason,
-                                     head_blame);
-                break;
-              case Stage::kIssue:
-                c = classifyIssue(stage_empty, backend_full, fe_reason,
-                                  head_blame, issue_blame);
-                break;
-              case Stage::kCommit:
-                c = classifyCommit(stage_empty, head_incomplete, fe_reason,
-                                   head_blame);
-                break;
-              case Stage::kCount:
-                break;
-            }
-        }
-        stall_table_[key] = static_cast<std::uint8_t>(c);
-    }
-}
-
-std::size_t
-CpiAccountant::stallKey(std::uint32_t flags) const
-{
-    namespace rf = record_flags;
-    const bool empty = ((flags & empty_mask_) != 0) != empty_inverted_;
-    return (empty ? 0x1u : 0u) |
-           ((flags & rf::kBackendFull) ? 0x2u : 0u) |
-           ((flags & rf::kHeadIncomplete) ? 0x4u : 0u) |
-           ((flags & rf::kReadyUnissued) ? 0x8u : 0u) |
-           (((flags >> rf::kFeReasonShift) & rf::kFeReasonMask) << 4) |
-           (((flags >> rf::kHeadBlameShift) & rf::kBlameMask) << 7) |
-           (((flags >> rf::kIssueBlameShift) & rf::kBlameMask) << 9);
-}
-
-void
-CpiAccountant::tick(const CycleState &s)
+CpiAccountant::tick(const CycleState &s, Cycle n)
 {
     if (finalized_) {
         throw StackscopeError(ErrorCategory::kInternal,
                               "CpiAccountant::tick() after finalize()");
     }
+    if (n == 0)
+        return;
     if (s.unsched) {
-        add(CpiComponent::kUnsched, 1.0);
+        add(CpiComponent::kUnsched, static_cast<double>(n));
         return;
     }
 
-    std::uint32_t n = 0;
-    std::uint32_t n_wrong = 0;
+    std::uint32_t count = 0;
+    std::uint32_t wrong = 0;
+    CpiComponent stall = CpiComponent::kOther;
     const bool oracle = config_.spec_mode == SpeculationMode::kOracle;
-    bool stage_empty = false;
     switch (config_.stage) {
       case Stage::kDispatch:
-        n = s.n_dispatch;
-        n_wrong = s.n_dispatch_wrong;
-        stage_empty = oracle ? !s.fe_has_correct : !s.fe_has_any;
+        count = s.n_dispatch;
+        wrong = s.n_dispatch_wrong;
+        stall = classifyDispatch(oracle ? !s.fe_has_correct : !s.fe_has_any,
+                                 s.backend_full, s.fe_reason, s.head_blame);
         break;
       case Stage::kIssue:
-        n = s.n_issue;
-        n_wrong = s.n_issue_wrong;
-        stage_empty = oracle ? s.rs_empty_correct : s.rs_empty_any;
+        count = s.n_issue;
+        wrong = s.n_issue_wrong;
+        stall = classifyIssue(oracle ? s.rs_empty_correct : s.rs_empty_any,
+                              s.backend_full, s.fe_reason, s.head_blame,
+                              s.issue_blame);
         break;
       case Stage::kCommit:
-        n = s.n_commit;
-        n_wrong = 0;  // wrong-path uops never commit
-        stage_empty = oracle ? s.rob_empty_correct : s.rob_empty_any;
+        count = s.n_commit;  // wrong-path uops never commit
+        stall = classifyCommit(oracle ? s.rob_empty_correct
+                                      : s.rob_empty_any,
+                               s.head_incomplete, s.fe_reason, s.head_blame);
         break;
       case Stage::kCount:
         throw StackscopeError(ErrorCategory::kInternal,
                               "CpiAccountant configured with Stage::kCount");
     }
 
-    const double f = usefulFraction(n, n_wrong);
-    add(CpiComponent::kBase, f);
-    if (f >= 1.0)
-        return;
-    const double rem = 1.0 - f;
-
-    switch (config_.stage) {
-      case Stage::kDispatch:
-        add(classifyDispatch(stage_empty, s.backend_full, s.fe_reason,
-                             s.head_blame),
-            rem);
-        break;
-      case Stage::kIssue:
-        add(classifyIssue(stage_empty, s.backend_full, s.fe_reason,
-                          s.head_blame, s.issue_blame),
-            rem);
-        break;
-      case Stage::kCommit:
-        add(classifyCommit(stage_empty, s.head_incomplete, s.fe_reason,
-                           s.head_blame),
-            rem);
-        break;
-      case Stage::kCount:
-        break;
-    }
-}
-
-void
-CpiAccountant::tickBatch(const CycleRecord *records, std::size_t count)
-{
-    if (finalized_) {
-        throw StackscopeError(ErrorCategory::kInternal,
-                              "CpiAccountant::tickBatch() after finalize()");
-    }
-    const Stage stage = config_.stage;
-    for (std::size_t i = 0; i < count; ++i) {
-        const CycleRecord &r = records[i];
-        if (r.flags & record_flags::kUnsched) {
-            add(CpiComponent::kUnsched, static_cast<double>(r.repeat));
-            continue;
-        }
-
-        std::uint32_t n = 0;
-        std::uint32_t n_wrong = 0;
-        switch (stage) {
-          case Stage::kDispatch:
-            n = r.n_dispatch;
-            n_wrong = r.n_dispatch_wrong;
-            break;
-          case Stage::kIssue:
-            n = r.n_issue;
-            n_wrong = r.n_issue_wrong;
-            break;
-          case Stage::kCommit:
-            n = r.n_commit;
-            break;
-          case Stage::kCount:
-            break;
-        }
-
-        const auto comp =
-            static_cast<CpiComponent>(stall_table_[stallKey(r.flags)]);
-
-        // The first cycle of the span — and any further cycles while the
-        // §III-A carry is still draining — replay the reference per-cycle
-        // arithmetic exactly; the remaining idle repeats all contribute
-        // 1.0 to the same component and fold into one add.
-        std::uint32_t left = r.repeat;
-        do {
-            const double f = usefulFraction(n, n_wrong);
-            add(CpiComponent::kBase, f);
-            if (f < 1.0)
-                add(comp, 1.0 - f);
-            --left;
-        } while (left > 0 && (carry_ != 0.0 || (n | n_wrong) != 0));
-        if (left > 0)
-            add(comp, static_cast<double>(left));
-    }
+    // Replay the per-cycle arithmetic while the stage is active or the
+    // §III-A carry is still draining; every remaining idle cycle adds
+    // 1.0 to the same stall component, so the rest of the run folds into
+    // one add.
+    do {
+        const double f = usefulFraction(count, wrong);
+        add(CpiComponent::kBase, f);
+        if (f < 1.0)
+            add(stall, 1.0 - f);
+    } while (--n > 0 && (carry_ != 0.0 || (count | wrong) != 0));
+    if (n > 0)
+        add(stall, static_cast<double>(n));
 }
 
 void

@@ -6,22 +6,16 @@
  * rule of §III-A (W = minimum stage width; fractions above 1 carry over to
  * the next cycle).
  *
- * Two consumption paths share one classification: tick() takes a
- * CycleState per cycle (the reference path), tickBatch() takes a span of
- * packed CycleRecords and resolves each stall through a lookup table that
- * the constructor builds by enumerating every flag combination through
- * the same classify functions tick() uses — equivalence by construction,
- * checked by the golden suite (tests/core/batched_reference_test.cpp).
+ * tick() accounts one CycleState for a run of n identical cycles: the
+ * per-cycle arithmetic replays while the stage is active or the carry is
+ * draining, and the rest of an idle run lands in one add.
  */
 
 #ifndef STACKSCOPE_STACKS_CPI_ACCOUNTANT_HPP
 #define STACKSCOPE_STACKS_CPI_ACCOUNTANT_HPP
 
-#include <array>
-#include <cstddef>
 #include <cstdint>
 
-#include "stacks/cycle_record.hpp"
 #include "stacks/cycle_state.hpp"
 #include "stacks/speculation.hpp"
 #include "stacks/stack.hpp"
@@ -50,17 +44,14 @@ class CpiAccountant
   public:
     explicit CpiAccountant(const CpiAccountantConfig &config);
 
-    /** Account one cycle. */
-    void tick(const CycleState &state);
-
     /**
-     * Account a span of packed cycles. Equivalent to unpacking each
-     * record and calling tick() `repeat` times — bitwise so for
-     * repeat == 1 records; repeated idle cycles fold their attribution
-     * into one multiply (summation-order change bounded by ~1e-9 of the
-     * aggregate).
+     * Account @p n consecutive cycles that all observed @p state.
+     * Equivalent to n calls of tick(state): bitwise while the stage is
+     * active or the §III-A carry drains, after which an idle run adds
+     * its remaining cycles to the stall component in one step (exact
+     * when the per-cycle fractions are dyadic, i.e. W a power of two).
      */
-    void tickBatch(const CycleRecord *records, std::size_t count);
+    void tick(const CycleState &state, Cycle n = 1);
 
     /** @name Branch events (used by SpeculationMode::kSpecCounters) @{ */
     void onBranchFetched(SeqNum seq);
@@ -92,18 +83,10 @@ class CpiAccountant
     double accountedCycles() const { return cycles().sum(); }
 
   private:
-    /**
-     * Stall-table key: 11 bits of packed stall state — stage-emptiness
-     * (already resolved against the speculation mode), backend_full,
-     * head_incomplete, ready_unissued, fe_reason, head_blame,
-     * issue_blame.
-     */
-    static constexpr std::size_t kStallTableSize = 1u << 11;
-
     void add(CpiComponent c, double value);
     double usefulFraction(std::uint32_t n_correct, std::uint32_t n_wrong);
 
-    /** @name Pure Table II classification, shared by both paths @{ */
+    /** @name Pure Table II classification @{ */
     static CpiComponent frontendComponent(FrontendReason reason);
     static CpiComponent backendComponent(BackendBlame blame);
     static CpiComponent classifyDispatch(bool fe_empty, bool backend_full,
@@ -118,19 +101,11 @@ class CpiAccountant
                                        BackendBlame head_blame);
     /** @} */
 
-    void buildStallTable();
-    std::size_t stallKey(std::uint32_t flags) const;
-
     CpiAccountantConfig config_;
     CpiStack cycles_;
     SpeculativeCounters spec_;
     double carry_ = 0.0;
     bool finalized_ = false;
-
-    /** Flag bit that answers "is this stage empty?" under config_. */
-    std::uint32_t empty_mask_ = 0;
-    bool empty_inverted_ = false;
-    std::array<std::uint8_t, kStallTableSize> stall_table_{};
 };
 
 }  // namespace stackscope::stacks

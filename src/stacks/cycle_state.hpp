@@ -98,11 +98,8 @@ struct CycleState
     /** Thread yielded this cycle (synchronization). */
     bool unsched = false;
 
-    /** @name Events for speculative-counter accounting (§III-B) @{ */
-    /** A branch entered the pipeline this cycle (count). */
-    std::uint32_t branches_fetched = 0;
-    /** Sequence numbers are communicated via the accountant interface. */
-    /** @} */
+    /** Field-wise equality: equal idle cycles fold into one run. */
+    bool operator==(const CycleState &) const = default;
 };
 
 }  // namespace stackscope::stacks

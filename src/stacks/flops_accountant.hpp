@@ -14,10 +14,8 @@
 #ifndef STACKSCOPE_STACKS_FLOPS_ACCOUNTANT_HPP
 #define STACKSCOPE_STACKS_FLOPS_ACCOUNTANT_HPP
 
-#include <cstddef>
 #include <cstdint>
 
-#include "stacks/cycle_record.hpp"
 #include "stacks/cycle_state.hpp"
 #include "stacks/stack.hpp"
 
@@ -41,16 +39,12 @@ class FlopsAccountant
   public:
     explicit FlopsAccountant(const FlopsAccountantConfig &config);
 
-    /** Account one cycle. */
-    void tick(const CycleState &state);
-
     /**
-     * Account a span of packed cycles: per-record contributions are
-     * computed once and scaled by the run length (Table III has no
-     * cross-cycle carry, so repeats are exactly linear; bitwise equal to
-     * tick() for repeat == 1 records).
+     * Account @p n consecutive cycles that all observed @p state. Table
+     * III has no cross-cycle carry, so each contribution is computed once
+     * and scaled by n (bitwise equal to one per-cycle tick for n == 1).
      */
-    void tickBatch(const CycleRecord *records, std::size_t count);
+    void tick(const CycleState &state, Cycle n = 1);
 
     /** Per-component cycle counts. */
     const FlopsStack &cycles() const { return cycles_; }

@@ -1,9 +1,10 @@
-/** Golden bit-identity suite: the batched cycle-record engine (packed
- *  records, idle-run folding, skip-ahead) must reproduce the per-cycle
- *  reference engine exactly — same cycle count, same instruction count,
- *  and every stack component equal to within 1e-9 (the only permitted
- *  difference is the summation-order change when an idle run folds its
- *  attribution into one multiply). See docs/performance.md. */
+/** Golden bit-identity suite: the batched engine (idle-run folding plus
+ *  skip-ahead) must reproduce the reference engine, which ticks every
+ *  cycle on its own with no fold and no skip, exactly — same cycle
+ *  count, same instruction count, and every stack component equal to
+ *  within 1e-9 (the only permitted difference is the summation-order
+ *  change when an idle run folds its attribution into one add). See
+ *  docs/performance.md. */
 
 #include <gtest/gtest.h>
 
@@ -118,8 +119,9 @@ TEST(BatchedReference, WarmupWindowIdentity)
     expectIdentical(ref, bat, "mcf@bdw warmup");
 }
 
-/** Multicore shares an uncore (skip-ahead illegal there, batching still
- *  on): per-core results and the averaged stacks must stay identical. */
+/** Multicore shares an uncore (skip-ahead illegal there, idle-run folding
+ *  still on): per-core results and the averaged stacks must stay
+ *  identical. */
 TEST(BatchedReference, MulticoreIdentity)
 {
     const sim::MachineConfig machine = sim::machineByName("bdw");

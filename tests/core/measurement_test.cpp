@@ -36,6 +36,25 @@ TEST(Measurement, ResetZeroesCountersKeepsState)
                 16.0);
 }
 
+/** A reset inside an idle run drops the run: the warmup cycles it holds
+ *  must not reach the fresh accountants. */
+TEST(Measurement, ResetDropsPendingIdleRun)
+{
+    trace::TraceBuilder b;
+    for (int i = 0; i < 200; ++i)
+        b.alu();
+    OooCore core(idealCoreParams(), b.build());
+    core.cycle();  // nothing fetched yet: an idle cycle, held pending
+    const stacks::CycleState &first = core.cycleState();
+    ASSERT_EQ(first.n_dispatch + first.n_issue + first.n_commit, 0u);
+    core.resetMeasurement();
+    core.run(0);
+    const auto cycles = static_cast<double>(core.cycles());
+    for (Stage s : {Stage::kDispatch, Stage::kIssue, Stage::kCommit})
+        EXPECT_EQ(core.accountant(s).accountedCycles(), cycles);
+    EXPECT_EQ(core.flopsAccountant().cycles().sum(), cycles);
+}
+
 TEST(Measurement, WarmupReducesColdStartCpi)
 {
     // Cold caches inflate CPI; measuring after warmup gets closer to the
