@@ -5,23 +5,13 @@
 
 #include "common/error.hpp"
 #include "obs/json.hpp"
+#include "stacks/speculation.hpp"
 
 namespace stackscope::obs {
 
 using stacks::Stage;
 
 namespace {
-
-const char *
-specModeName(stacks::SpeculationMode mode)
-{
-    switch (mode) {
-      case stacks::SpeculationMode::kOracle: return "oracle";
-      case stacks::SpeculationMode::kSimple: return "simple";
-      case stacks::SpeculationMode::kSpecCounters: return "spec-counters";
-    }
-    return "oracle";
-}
 
 template <typename E>
 void
@@ -153,7 +143,7 @@ void
 writeOptions(JsonWriter &w, const sim::SimOptions &o)
 {
     w.beginObject()
-        .key("spec_mode").value(specModeName(o.spec_mode))
+        .key("spec_mode").value(stacks::toString(o.spec_mode))
         .key("accounting").value(o.accounting)
         .key("max_cycles").value(static_cast<std::uint64_t>(o.max_cycles))
         .key("warmup_instrs");

@@ -3,24 +3,10 @@
 #include <cstdio>
 
 #include "obs/json.hpp"
+#include "stacks/speculation.hpp"
 #include "validate/invariants.hpp"
 
 namespace stackscope::runner {
-
-namespace {
-
-const char *
-specModeName(stacks::SpeculationMode mode)
-{
-    switch (mode) {
-      case stacks::SpeculationMode::kOracle: return "oracle";
-      case stacks::SpeculationMode::kSimple: return "simple";
-      case stacks::SpeculationMode::kSpecCounters: return "spec-counters";
-    }
-    return "oracle";
-}
-
-}  // namespace
 
 std::uint64_t
 fnv1a64(std::string_view data)
@@ -44,7 +30,7 @@ canonicalJson(const JobSpec &spec)
         .key("cores").value(spec.cores)
         .key("instrs").value(spec.instrs)
         .key("options").beginObject()
-        .key("spec_mode").value(specModeName(o.spec_mode))
+        .key("spec_mode").value(stacks::toString(o.spec_mode))
         .key("accounting").value(o.accounting)
         .key("engine").value(o.reference_engine ? "reference" : "batched")
         .key("max_cycles").value(static_cast<std::uint64_t>(o.max_cycles))

@@ -24,6 +24,20 @@
 
 namespace stackscope::runner {
 
+/** Measured instructions of a job whose spec names no count. */
+inline constexpr std::uint64_t kDefaultInstrs = 250'000;
+
+/**
+ * Warmup of a job whose spec names none: half the measured count, the
+ * paper's fast-forward (§IV). The CLI and the serve wire protocol both
+ * apply it, so equivalent requests share one spec hash.
+ */
+constexpr std::uint64_t
+defaultWarmup(std::uint64_t instrs)
+{
+    return instrs / 2;
+}
+
 /** Identity of one simulation point. */
 struct JobSpec
 {

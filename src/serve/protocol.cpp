@@ -71,23 +71,10 @@ numberField(const obs::JsonValue &object, const std::string &key,
     const obs::JsonValue *v = object.find(key);
     if (v == nullptr)
         return fallback;
-    if (!v->isNumber() || v->number < 0)
-        usageError("'" + key + "' must be a non-negative number", key);
+    if (!v->isNumber() || !std::isfinite(v->number) || v->number < 0)
+        usageError("'" + key + "' must be a finite non-negative number",
+                   key);
     return v->number;
-}
-
-stacks::SpeculationMode
-parseSpecMode(const std::string &text)
-{
-    if (text == "oracle")
-        return stacks::SpeculationMode::kOracle;
-    if (text == "simple")
-        return stacks::SpeculationMode::kSimple;
-    if (text == "spec-counters")
-        return stacks::SpeculationMode::kSpecCounters;
-    usageError("unknown spec_mode '" + text +
-                   "' (oracle|simple|spec-counters)",
-               "spec_mode");
 }
 
 }  // namespace
@@ -147,13 +134,15 @@ parseSpec(const obs::JsonValue &spec)
         usageError("'cores' must be in [1, 1024]", "cores");
     job.cores = static_cast<unsigned>(cores);
 
-    const std::uint64_t instrs = uintField(spec, "instrs", kDefaultInstrs);
+    const std::uint64_t instrs =
+        uintField(spec, "instrs", runner::kDefaultInstrs);
     if (instrs < 1)
         usageError("'instrs' must be at least 1", "instrs");
-    // CLI convention: warmup defaults to half the measured count, and
     // JobSpec::instrs is the total the generator runs (measured+warmup),
-    // so wire specs hash identically to equivalent CLI invocations.
-    const std::uint64_t warmup = uintField(spec, "warmup", instrs / 2);
+    // as the CLI builds it, so wire specs hash identically to equivalent
+    // CLI invocations.
+    const std::uint64_t warmup =
+        uintField(spec, "warmup", runner::defaultWarmup(instrs));
     job.instrs = instrs + warmup;
 
     sim::SimOptions &so = job.options;
@@ -170,7 +159,13 @@ parseSpec(const obs::JsonValue &spec)
         if (const obs::JsonValue *v = options->find("spec_mode")) {
             if (!v->isString())
                 usageError("'spec_mode' must be a string", "spec_mode");
-            so.spec_mode = parseSpecMode(v->string);
+            const auto mode = stacks::parseSpeculationMode(v->string);
+            if (!mode) {
+                usageError("unknown spec_mode '" + v->string +
+                               "' (oracle|simple|spec-counters)",
+                           "spec_mode");
+            }
+            so.spec_mode = *mode;
         }
         if (const obs::JsonValue *v = options->find("engine")) {
             if (!v->isString() ||

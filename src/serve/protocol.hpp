@@ -36,9 +36,6 @@ namespace stackscope::serve {
 inline constexpr std::string_view kProtocolName = "stackscope-serve";
 inline constexpr int kProtocolVersion = 1;
 
-/** Default measured-instruction count when a spec omits "instrs". */
-inline constexpr std::uint64_t kDefaultInstrs = 250'000;
-
 /** One parsed client request frame. */
 struct Request
 {

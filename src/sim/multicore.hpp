@@ -63,7 +63,8 @@ struct MulticoreResult
 
 /**
  * Run @p num_cores clones of @p trace in lockstep on @p machine, sharing
- * one uncore whose resources are the per-core slice times @p num_cores.
+ * one uncore whose resources are the per-core slice times @p num_cores;
+ * one core owns its uncore, which makes the very run simulate() makes.
  * Each core's data addresses are offset into a private region (threads of
  * the paper's HPC workloads work on distinct tiles), while code addresses
  * are shared.

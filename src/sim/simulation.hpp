@@ -1,7 +1,9 @@
 /**
  * @file
- * Single-core simulation driver: run a trace on a machine configuration
- * and collect every stack plus summary statistics.
+ * The simulation driver: run a trace on a machine configuration and
+ * collect every stack plus summary statistics. simulate() is the
+ * one-core case of the lockstep driver behind simulateMulticore()
+ * (sim/multicore.hpp).
  */
 
 #ifndef STACKSCOPE_SIM_SIMULATION_HPP
@@ -158,8 +160,8 @@ SimResult simulate(const MachineConfig &machine,
  * Throw StackscopeError(kConfig) when @p options combines observability
  * switches with a run mode they cannot work under (interval snapshots
  * with accounting off, or with SpeculationMode::kSpecCounters whose
- * stacks are undefined before finalize()). Called by both simulation
- * drivers; exposed so front-ends can fail fast before building jobs.
+ * stacks are undefined before finalize()). Called by the simulation
+ * driver; exposed so front-ends can fail fast before building jobs.
  */
 void checkObsOptions(const SimOptions &options);
 

@@ -4,6 +4,30 @@
 
 namespace stackscope::stacks {
 
+std::string_view
+toString(SpeculationMode mode)
+{
+    switch (mode) {
+      case SpeculationMode::kOracle:
+        return "oracle";
+      case SpeculationMode::kSimple:
+        return "simple";
+      case SpeculationMode::kSpecCounters:
+        return "spec-counters";
+    }
+    return "?";
+}
+
+std::optional<SpeculationMode>
+parseSpeculationMode(std::string_view text)
+{
+    for (const SpeculationMode mode : kSpeculationModes) {
+        if (text == toString(mode))
+            return mode;
+    }
+    return std::nullopt;
+}
+
 void
 SpeculativeCounters::onBranchFetched(SeqNum seq)
 {

@@ -21,6 +21,8 @@
 #define STACKSCOPE_STACKS_SPECULATION_HPP
 
 #include <deque>
+#include <optional>
+#include <string_view>
 
 #include "common/types.hpp"
 #include "stacks/stack.hpp"
@@ -34,6 +36,19 @@ enum class SpeculationMode
     kSimple,
     kSpecCounters,
 };
+
+/** Every mode, in declaration order. */
+inline constexpr SpeculationMode kSpeculationModes[] = {
+    SpeculationMode::kOracle,
+    SpeculationMode::kSimple,
+    SpeculationMode::kSpecCounters,
+};
+
+/** "oracle", "simple" or "spec-counters": the CLI, wire and report name. */
+std::string_view toString(SpeculationMode mode);
+
+/** Parse a toString() name; nullopt for anything else. */
+std::optional<SpeculationMode> parseSpeculationMode(std::string_view text);
 
 /**
  * Branch-epoch buffer for SpeculationMode::kSpecCounters.

@@ -258,6 +258,20 @@ TEST(ProtocolSpecTest, RejectsBadValues)
                  StackscopeError);
 }
 
+TEST(ProtocolSpecTest, RejectsNonFiniteNumbers)
+{
+    // JSON has no infinity, but strtod reads an overflowing literal as
+    // one; a deadline must still be a finite number.
+    try {
+        parseSpec(parseSpecJson(
+            "{\"workload\":\"mcf\",\"machine\":\"bdw\","
+            "\"options\":{\"job_timeout_seconds\":1e999}}"));
+        FAIL() << "an infinite job_timeout_seconds was accepted";
+    } catch (const StackscopeError &err) {
+        EXPECT_EQ(err.category(), ErrorCategory::kUsage);
+    }
+}
+
 // ---------------------------------------------------------------------
 // simulateSpec: the serve-side run must be byte-identical to what the
 // CLI's report path produces for the same spec.

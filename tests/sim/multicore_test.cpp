@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "obs/report.hpp"
 #include "sim/presets.hpp"
 #include "trace/hpc_kernels.hpp"
 #include "trace/synthetic_generator.hpp"
@@ -21,6 +24,15 @@ shortWorkload(const char *name, std::uint64_t n = 50'000)
     trace::SyntheticParams p = trace::findWorkload(name).params;
     p.num_instrs = n;
     return trace::SyntheticGenerator(p);
+}
+
+/** The deterministic report bytes of @p r as a single-core job. */
+std::string
+reportBytes(const SimResult &r, const SimOptions &options)
+{
+    obs::ReportBuilder report("run");
+    report.add("job", options, r);
+    return report.json();
 }
 
 TEST(Multicore, RunsAllCoresToCompletion)
@@ -57,14 +69,52 @@ TEST(Multicore, HomogeneousCoresBehaveSimilarly)
         EXPECT_NEAR(c.cpi, cpi0, cpi0 * 0.2);
 }
 
-TEST(Multicore, SingleCoreMatchesSimulateClosely)
+TEST(Multicore, SingleCoreMatchesSimulateExactly)
 {
-    const auto gen = shortWorkload("exchange2");
-    const SimResult single = simulate(bdwConfig(), gen);
-    const MulticoreResult multi = simulateMulticore(bdwConfig(), gen, 1);
-    // A 1-core "multicore" run uses the same per-core uncore slice.
-    EXPECT_NEAR(static_cast<double>(multi.per_core[0].cycles),
-                static_cast<double>(single.cycles), single.cycles * 0.01);
+    // simulate() is the one-core case of simulateMulticore(): the same
+    // run, down to the report bytes. The strict run with interval
+    // snapshots puts every skip-ahead horizon term in play.
+    SimOptions plain;
+    plain.warmup_instrs = 10'000;
+    SimOptions strict = plain;
+    strict.validation = validate::ValidationPolicy::kStrict;
+    strict.obs.interval_cycles = 700;
+    for (const MachineConfig &machine : {bdwConfig(), knlConfig()}) {
+        for (const char *workload : {"mcf", "exchange2", "lbm", "povray"}) {
+            const auto gen = shortWorkload(workload, 30'000);
+            for (const SimOptions &opt : {plain, strict}) {
+                const MulticoreResult multi =
+                    simulateMulticore(machine, gen, 1, opt);
+                ASSERT_EQ(multi.per_core.size(), 1u);
+                EXPECT_EQ(reportBytes(multi.per_core[0], opt),
+                          reportBytes(simulate(machine, gen, opt), opt))
+                    << workload << " on " << machine.name
+                    << (opt.obs.interval_cycles != 0 ? " (strict)" : "");
+            }
+        }
+    }
+}
+
+TEST(Multicore, WarmupLongerThanTraceIsHarmless)
+{
+    // A core whose trace ends inside the warmup window restarts
+    // measurement there: an empty window, never the warmup reported as
+    // if it were measured.
+    const auto gen = shortWorkload("exchange2", 5'000);
+    SimOptions opt;
+    opt.warmup_instrs = 50'000;
+    opt.validation = validate::ValidationPolicy::kWarn;
+    for (unsigned cores : {1u, 2u}) {
+        const MulticoreResult r =
+            simulateMulticore(bdwConfig(), gen, cores, opt);
+        ASSERT_EQ(r.per_core.size(), cores);
+        EXPECT_TRUE(r.validation.passed()) << r.validation.summary();
+        for (const SimResult &c : r.per_core) {
+            EXPECT_EQ(c.instrs, 0u) << cores << " cores";
+            EXPECT_EQ(c.cycles, 0u) << cores << " cores";
+            EXPECT_TRUE(c.validation.passed()) << c.validation.summary();
+        }
+    }
 }
 
 TEST(Multicore, SocketFlopsBelowPeak)

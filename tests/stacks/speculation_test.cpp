@@ -7,6 +7,19 @@
 namespace stackscope::stacks {
 namespace {
 
+TEST(SpeculationModeNames, RoundTripAndStayStable)
+{
+    // The names are CLI and wire values and feed report bytes and spec
+    // hashes, so they must never drift.
+    EXPECT_EQ(toString(SpeculationMode::kOracle), "oracle");
+    EXPECT_EQ(toString(SpeculationMode::kSimple), "simple");
+    EXPECT_EQ(toString(SpeculationMode::kSpecCounters), "spec-counters");
+    for (const SpeculationMode mode : kSpeculationModes)
+        EXPECT_EQ(parseSpeculationMode(toString(mode)), mode);
+    EXPECT_FALSE(parseSpeculationMode("Oracle").has_value());
+    EXPECT_FALSE(parseSpeculationMode("").has_value());
+}
+
 TEST(SpeculativeCounters, NoBranchesGoesStraightToCommitted)
 {
     SpeculativeCounters sc;

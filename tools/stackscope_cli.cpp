@@ -91,6 +91,7 @@
 
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -134,8 +135,8 @@ struct CliOptions
     std::string workload = "mcf";
     std::string kernel = "conv_fwd_0";
     std::string machine = "bdw";
-    std::uint64_t instrs = 250'000;
-    /** Unset means the documented default of instrs / 2. */
+    std::uint64_t instrs = runner::kDefaultInstrs;
+    /** Unset means runner::defaultWarmup(instrs). */
     std::optional<std::uint64_t> warmup{};
     unsigned cores = 1;
     /** The sweep grid's cores axis; non-sweep commands require size 1. */
@@ -191,7 +192,11 @@ struct CliOptions
     obs::DiffTolerance diff_tol{};
     std::vector<obs::WatchSpec> watches;
 
-    std::uint64_t warmupInstrs() const { return warmup.value_or(instrs / 2); }
+    std::uint64_t
+    warmupInstrs() const
+    {
+        return warmup.value_or(runner::defaultWarmup(instrs));
+    }
     std::uint64_t totalInstrs() const { return instrs + warmupInstrs(); }
 };
 
@@ -293,14 +298,15 @@ parseReal(const std::string &flag, const std::string &text)
     try {
         std::size_t end = 0;
         const double out = std::stod(text, &end);
-        if (end == text.size() && out >= 0.0)
+        if (end == text.size() && out >= 0.0 && std::isfinite(out))
             return out;
     } catch (const std::exception &) {
         // fall through to the uniform error below
     }
     throw StackscopeError(ErrorCategory::kUsage,
                           "value for " + flag +
-                              " must be a non-negative number, got '" +
+                              " must be a finite non-negative number, "
+                              "got '" +
                               text + "'");
 }
 
@@ -1069,24 +1075,14 @@ cmdCompareSpec(const CliOptions &opt)
     const sim::MachineConfig machine = sim::machineByName(opt.machine);
     auto trace = makeWorkloadTrace(opt);
 
-    const struct
-    {
-        const char *label;
-        stacks::SpeculationMode mode;
-    } modes[] = {
-        {"oracle", stacks::SpeculationMode::kOracle},
-        {"simple", stacks::SpeculationMode::kSimple},
-        {"spec-counters", stacks::SpeculationMode::kSpecCounters},
-    };
-
     // One job per wrong-path handling strategy, run as a single batch.
     std::vector<runner::SimJob> jobs;
     std::vector<std::string> labels;
-    for (const auto &m : modes) {
+    for (const stacks::SpeculationMode mode : stacks::kSpeculationModes) {
         sim::SimOptions so = simOptions(opt);
-        so.spec_mode = m.mode;
-        jobs.push_back(runner::makeJob(m.label, machine, *trace, so));
-        labels.push_back(m.label);
+        so.spec_mode = mode;
+        labels.emplace_back(stacks::toString(mode));
+        jobs.push_back(runner::makeJob(labels.back(), machine, *trace, so));
     }
     runner::BatchRunner batch(opt.threads);
     runner::Heartbeat heartbeat("compare-spec");
@@ -1101,7 +1097,7 @@ cmdCompareSpec(const CliOptions &opt)
         reportValidation(o.single.validation);
         dispatch_stacks.push_back(o.single.cpiStack(Stage::kDispatch));
         sim::SimOptions so = simOptions(opt);
-        so.spec_mode = modes[i].mode;
+        so.spec_mode = stacks::kSpeculationModes[i];
         report.add(o, so, 1);
     }
     maybeWriteReport(opt, report);
