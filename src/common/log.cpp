@@ -7,6 +7,8 @@
 #include <mutex>
 #include <utility>
 
+#include "common/json_escape.hpp"
+
 namespace stackscope::log {
 
 namespace {
@@ -26,36 +28,6 @@ elapsedMs()
         std::chrono::duration_cast<std::chrono::milliseconds>(clock::now() -
                                                               start)
             .count());
-}
-
-/**
- * Minimal JSON string escaping. Duplicated from obs/json.cpp on purpose:
- * common/ sits below obs/ in the layering and must not link it.
- */
-std::string
-escape(std::string_view text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char ch : text) {
-        const auto c = static_cast<unsigned char>(ch);
-        switch (ch) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    return out;
 }
 
 }  // namespace
@@ -158,13 +130,21 @@ messageImpl(Level level, std::string_view module, std::string_view text,
     const std::uint64_t t_ms = elapsedMs();
     std::string line;
     if (jsonOutput()) {
-        line = "{\"t_ms\":" + std::to_string(t_ms) + ",\"level\":\"" +
-               std::string(toString(level)) + "\",\"module\":\"" +
-               escape(module) + "\",\"msg\":\"" + escape(text) + "\"";
-        for (const Field *f = begin; f != end; ++f)
-            line += ",\"" + escape(f->key) + "\":\"" + escape(f->value) +
-                    "\"";
-        line += "}";
+        line = "{\"t_ms\":" + std::to_string(t_ms) + ",\"level\":\"";
+        line += toString(level);
+        line += "\",\"module\":\"";
+        appendJsonEscaped(line, module);
+        line += "\",\"msg\":\"";
+        appendJsonEscaped(line, text);
+        line += '"';
+        for (const Field *f = begin; f != end; ++f) {
+            line += ",\"";
+            appendJsonEscaped(line, f->key);
+            line += "\":\"";
+            appendJsonEscaped(line, f->value);
+            line += '"';
+        }
+        line += '}';
     } else {
         line = "stackscope[" + std::string(toString(level)) + "] " +
                std::string(module) + ": " + std::string(text);

@@ -1,49 +1,33 @@
 #include "obs/json.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <utility>
+
+#include "common/json_escape.hpp"
 
 namespace stackscope::obs {
 
-std::string
-jsonEscape(std::string_view text)
+namespace {
+
+template <typename Int>
+void
+appendInteger(std::string &out, Int number)
 {
-    std::string out;
-    out.reserve(text.size());
-    for (const char ch : text) {
-        const auto c = static_cast<unsigned char>(ch);
-        switch (ch) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    return out;
+    char buf[24];
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof(buf), number);
+    out.append(buf, r.ptr);
 }
+
+}  // namespace
 
 void
 JsonWriter::separate()
 {
-    if (after_key_) {
-        after_key_ = false;
-        return;
-    }
-    if (first_.empty())
-        return;
-    if (first_.back())
-        first_.back() = false;
-    else
+    if (need_comma_)
         out_ += ',';
+    need_comma_ = true;
 }
 
 JsonWriter &
@@ -51,7 +35,7 @@ JsonWriter::beginObject()
 {
     separate();
     out_ += '{';
-    first_.push_back(true);
+    need_comma_ = false;
     return *this;
 }
 
@@ -59,7 +43,7 @@ JsonWriter &
 JsonWriter::endObject()
 {
     out_ += '}';
-    first_.pop_back();
+    need_comma_ = true;
     return *this;
 }
 
@@ -68,7 +52,7 @@ JsonWriter::beginArray()
 {
     separate();
     out_ += '[';
-    first_.push_back(true);
+    need_comma_ = false;
     return *this;
 }
 
@@ -76,7 +60,7 @@ JsonWriter &
 JsonWriter::endArray()
 {
     out_ += ']';
-    first_.pop_back();
+    need_comma_ = true;
     return *this;
 }
 
@@ -85,9 +69,9 @@ JsonWriter::key(std::string_view name)
 {
     separate();
     out_ += '"';
-    out_ += jsonEscape(name);
-    out_ += "\":";
-    after_key_ = true;
+    appendJsonEscaped(out_, name);
+    out_.append("\":", 2);
+    need_comma_ = false;
     return *this;
 }
 
@@ -96,7 +80,7 @@ JsonWriter::value(std::string_view text)
 {
     separate();
     out_ += '"';
-    out_ += jsonEscape(text);
+    appendJsonEscaped(out_, text);
     out_ += '"';
     return *this;
 }
@@ -113,9 +97,11 @@ JsonWriter::value(double number)
     if (!std::isfinite(number))
         return null();
     separate();
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", number);
-    out_ += buf;
+    // "%.17g" is at most 24 bytes: sign, 17 digits, point, "e-308".
+    char buf[32];
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof(buf), number, std::chars_format::general, 17);
+    out_.append(buf, r.ptr);
     return *this;
 }
 
@@ -123,7 +109,7 @@ JsonWriter &
 JsonWriter::value(std::uint64_t number)
 {
     separate();
-    out_ += std::to_string(number);
+    appendInteger(out_, number);
     return *this;
 }
 
@@ -131,7 +117,7 @@ JsonWriter &
 JsonWriter::value(std::int64_t number)
 {
     separate();
-    out_ += std::to_string(number);
+    appendInteger(out_, number);
     return *this;
 }
 
@@ -151,7 +137,10 @@ JsonWriter &
 JsonWriter::value(bool flag)
 {
     separate();
-    out_ += flag ? "true" : "false";
+    if (flag)
+        out_.append("true", 4);
+    else
+        out_.append("false", 5);
     return *this;
 }
 
@@ -159,7 +148,7 @@ JsonWriter &
 JsonWriter::null()
 {
     separate();
-    out_ += "null";
+    out_.append("null", 4);
     return *this;
 }
 
@@ -169,6 +158,13 @@ JsonWriter::raw(std::string_view fragment)
     separate();
     out_ += fragment;
     return *this;
+}
+
+std::string
+JsonWriter::take()
+{
+    need_comma_ = false;
+    return std::exchange(out_, std::string());
 }
 
 }  // namespace stackscope::obs

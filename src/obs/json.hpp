@@ -7,20 +7,22 @@
  * deterministic: keys are emitted in call order, doubles use a fixed
  * round-trippable format, and non-finite values become null (JSON has no
  * NaN/Infinity). No external JSON dependency is required.
+ *
+ * Every token is written straight into one output buffer: strings are
+ * escaped in place (common/json_escape.hpp) and numbers are formatted
+ * with std::to_chars, so building a document allocates nothing beyond
+ * the buffer itself.
  */
 
 #ifndef STACKSCOPE_OBS_JSON_HPP
 #define STACKSCOPE_OBS_JSON_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace stackscope::obs {
-
-/** Escape @p text for inclusion inside a JSON string literal. */
-std::string jsonEscape(std::string_view text);
 
 /**
  * Append-only JSON document builder. Call sequence mirrors document
@@ -43,7 +45,10 @@ class JsonWriter
 
     JsonWriter &value(std::string_view text);
     JsonWriter &value(const char *text);
-    /** Doubles use "%.17g" (lossless); NaN/Inf are emitted as null. */
+    /**
+     * Doubles are written as printf's "%.17g" would write them
+     * (lossless), via std::to_chars; NaN/Inf are emitted as null.
+     */
     JsonWriter &value(double number);
     JsonWriter &value(std::uint64_t number);
     JsonWriter &value(std::int64_t number);
@@ -59,15 +64,20 @@ class JsonWriter
      */
     JsonWriter &raw(std::string_view fragment);
 
+    /** Grow the buffer once when the document size is known up front. */
+    void reserve(std::size_t bytes) { out_.reserve(bytes); }
+
     const std::string &str() const { return out_; }
+
+    /** Move the document out; the writer starts a new, empty one. */
+    std::string take();
 
   private:
     void separate();
 
     std::string out_;
-    /** One entry per open container: true until its first element. */
-    std::vector<bool> first_;
-    bool after_key_ = false;
+    /** A value or container ended last, so the next token needs a ','. */
+    bool need_comma_ = false;
 };
 
 }  // namespace stackscope::obs

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -300,6 +301,12 @@ JsonValue::find(std::string_view key) const
             return &v;
     }
     return nullptr;
+}
+
+JsonValue *
+JsonValue::find(std::string_view key)
+{
+    return const_cast<JsonValue *>(std::as_const(*this).find(key));
 }
 
 const JsonValue &

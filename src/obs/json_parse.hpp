@@ -67,6 +67,8 @@ class JsonValue
 
     /** Member lookup; nullptr when absent or not an object. */
     const JsonValue *find(std::string_view key) const;
+    /** Mutable lookup, e.g. to move a subtree out of a parsed document. */
+    JsonValue *find(std::string_view key);
 
     /** Member lookup that throws StackscopeError(kUsage) when missing. */
     const JsonValue &at(std::string_view key) const;

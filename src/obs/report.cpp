@@ -342,6 +342,9 @@ ReportBuilder::json() const
     else
         w.null();
     w.endObject();
+    // A copy, not take(): reports are kept (the serve result cache, the
+    // sweep journal), and the copy drops the buffer's growth slack, which
+    // could otherwise double the memory each kept report occupies.
     return w.str();
 }
 

@@ -346,7 +346,7 @@ chromeTraceJson(const std::vector<EventLog> &cores)
         .key("events_dropped").value(total_dropped)
         .endObject()
         .endObject();
-    return w.str();
+    return w.take();
 }
 
 std::string
@@ -379,7 +379,7 @@ hostSpansChromeJson(const std::string &process_name,
         .key("timebase").value("wall clock; 1 trace microsecond = 1 us")
         .endObject()
         .endObject();
-    return w.str();
+    return w.take();
 }
 
 }  // namespace stackscope::obs

@@ -1,7 +1,5 @@
 #include "runner/job_spec.hpp"
 
-#include <cstdio>
-
 #include "obs/json.hpp"
 #include "stacks/speculation.hpp"
 #include "validate/invariants.hpp"
@@ -24,6 +22,8 @@ canonicalJson(const JobSpec &spec)
 {
     const sim::SimOptions &o = spec.options;
     obs::JsonWriter w;
+    // Fits the document with default options (~350 bytes) in one go.
+    w.reserve(512);
     w.beginObject()
         .key("workload").value(spec.workload)
         .key("machine").value(spec.machine)
@@ -61,17 +61,18 @@ canonicalJson(const JobSpec &spec)
         .value(static_cast<std::uint64_t>(o.obs.trace_capacity))
         .endObject()
         .endObject();
-    return w.str();
+    return w.take();
 }
 
 std::string
 specHash(const JobSpec &spec)
 {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(
-                      fnv1a64(canonicalJson(spec))));
-    return buf;
+    static constexpr char kHex[] = "0123456789abcdef";
+    std::uint64_t h = fnv1a64(canonicalJson(spec));
+    std::string key(16, '0');
+    for (auto digit = key.rbegin(); digit != key.rend(); ++digit, h >>= 4)
+        *digit = kHex[h & 0xf];
+    return key;
 }
 
 }  // namespace stackscope::runner

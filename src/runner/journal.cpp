@@ -55,7 +55,7 @@ serializeRecord(const JournalRecord &r)
         .key("job").value(r.job_json)
         .key("csv").value(r.csv)
         .endObject();
-    return w.str();
+    return w.take();
 }
 
 /** Parse one checksummed payload; false on any structural problem. */

@@ -1,8 +1,10 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "obs/json.hpp"
 #include "obs/report.hpp"
@@ -77,21 +79,56 @@ numberField(const obs::JsonValue &object, const std::string &key,
     return v->number;
 }
 
+/** @p w's document plus the frame's terminating newline, moved out of
+ *  the writer rather than copied. */
+std::string
+finishFrame(obs::JsonWriter &w)
+{
+    std::string frame = w.take();
+    frame += '\n';
+    return frame;
+}
+
+/**
+ * Throw kUsage unless @p workload and @p machine name presets. Matches
+ * names only, so a cache hit copies no preset it will never simulate;
+ * an unknown name gets the lookup functions' own message.
+ */
+void
+checkPresetNames(const std::string &workload, const std::string &machine)
+{
+    const std::vector<trace::Workload> &workloads =
+        trace::allSpecWorkloads();
+    static const std::vector<std::string> machines = sim::allMachineNames();
+    try {
+        if (std::none_of(workloads.begin(), workloads.end(),
+                         [&](const trace::Workload &w) {
+                             return w.name == workload;
+                         }))
+            trace::findWorkload(workload);
+        if (std::find(machines.begin(), machines.end(), machine) ==
+            machines.end())
+            sim::machineByName(machine);
+    } catch (const std::out_of_range &e) {
+        throw StackscopeError(ErrorCategory::kUsage, e.what());
+    }
+}
+
 }  // namespace
 
 Request
 parseRequest(std::string_view line)
 {
-    const obs::JsonValue frame = obs::parseJson(line);
+    obs::JsonValue frame = obs::parseJson(line);
     if (!frame.isObject())
         usageError("request frame must be a JSON object", "frame");
     checkKeys(frame, {"type", "id", "spec"}, "frame");
 
     Request req;
-    if (const obs::JsonValue *id = frame.find("id")) {
+    if (obs::JsonValue *id = frame.find("id")) {
         if (!id->isString())
             usageError("'id' must be a string", "id");
-        req.id = id->string;
+        req.id = std::move(id->string);
     }
     const std::string type = requireString(frame, "type");
     if (type == "ping") {
@@ -100,10 +137,10 @@ parseRequest(std::string_view line)
         req.kind = Request::Kind::kStatusz;
     } else if (type == "analyze") {
         req.kind = Request::Kind::kAnalyze;
-        const obs::JsonValue *spec = frame.find("spec");
+        obs::JsonValue *spec = frame.find("spec");
         if (spec == nullptr || !spec->isObject())
             usageError("analyze requires a 'spec' object", "spec");
-        req.spec = *spec;
+        req.spec = std::move(*spec);
     } else {
         usageError("unknown request type '" + type +
                        "' (ping|statusz|analyze)",
@@ -122,12 +159,7 @@ parseSpec(const obs::JsonValue &spec)
     runner::JobSpec job;
     job.workload = requireString(spec, "workload");
     job.machine = requireString(spec, "machine");
-    try {
-        trace::findWorkload(job.workload);
-        sim::machineByName(job.machine);
-    } catch (const std::out_of_range &e) {
-        throw StackscopeError(ErrorCategory::kUsage, e.what());
-    }
+    checkPresetNames(job.workload, job.machine);
 
     const std::uint64_t cores = uintField(spec, "cores", 1);
     if (cores < 1 || cores > 1024)
@@ -233,7 +265,7 @@ helloFrame()
         .key("schema").value(kProtocolName)
         .key("version").value(kProtocolVersion)
         .endObject();
-    return w.str() + "\n";
+    return finishFrame(w);
 }
 
 std::string
@@ -244,7 +276,7 @@ pongFrame(const std::string &id)
         .key("type").value("pong")
         .key("id").value(id)
         .endObject();
-    return w.str() + "\n";
+    return finishFrame(w);
 }
 
 std::string
@@ -259,7 +291,7 @@ progressFrame(const std::string &id, const std::string &request,
         .key("key").value(key)
         .key("elapsed_ms").value(elapsed_ms)
         .endObject();
-    return w.str() + "\n";
+    return finishFrame(w);
 }
 
 std::string
@@ -273,7 +305,7 @@ errorFrame(const std::string &id, ErrorCategory category,
         .key("category").value(toString(category))
         .key("message").value(message)
         .endObject();
-    return w.str() + "\n";
+    return finishFrame(w);
 }
 
 std::string
@@ -282,6 +314,10 @@ resultFrame(const std::string &id, const std::string &request,
             const std::string &report)
 {
     obs::JsonWriter w;
+    // The report is by far the largest member: size the buffer for the
+    // whole frame so the report is copied exactly once.
+    w.reserve(report.size() + id.size() + request.size() + key.size() +
+              96);
     w.beginObject()
         .key("type").value("result")
         .key("id").value(id)
@@ -290,7 +326,7 @@ resultFrame(const std::string &id, const std::string &request,
         .key("cache").value(toString(outcome))
         .key("report").raw(report)
         .endObject();
-    return w.str() + "\n";
+    return finishFrame(w);
 }
 
 std::string
@@ -331,7 +367,7 @@ statusFrame(const std::string &id, const ResultCache::Stats &cache,
         .key("host_metrics");
     obs::writeMetricsSnapshot(w, snap);
     w.endObject();
-    return w.str() + "\n";
+    return finishFrame(w);
 }
 
 }  // namespace stackscope::serve

@@ -237,7 +237,7 @@ traceJson(const TraceSummary &trace)
         .key("conservation_ok").value(trace.conservation_ok)
         .key("conservation_error_us").value(trace.conservation_error_us)
         .endObject();
-    return w.str();
+    return w.take();
 }
 
 std::string
@@ -275,7 +275,7 @@ traceIndexJson(const std::vector<std::shared_ptr<const TraceSummary>> &traces)
             .endObject();
     }
     w.endArray().endObject();
-    return w.str();
+    return w.take();
 }
 
 }  // namespace stackscope::serve

@@ -553,11 +553,14 @@ Server::ndjsonConnection(int fd)
         if (n == 0)
             return;  // EOF (also how the drain half-close ends a session)
         pending.append(buf, static_cast<std::size_t>(n));
+        // Lines are parsed in place; the consumed prefix is dropped once
+        // the buffer holds no complete line.
+        std::size_t begin = 0;
         std::size_t pos;
-        while ((pos = pending.find('\n')) != std::string::npos) {
-            const std::string line = pending.substr(0, pos);
-            pending.erase(0, pos + 1);
-            if (line.find_first_not_of(" \t\r") == std::string::npos)
+        while ((pos = pending.find('\n', begin)) != std::string::npos) {
+            const std::string_view line(pending.data() + begin, pos - begin);
+            begin = pos + 1;
+            if (line.find_first_not_of(" \t\r") == std::string_view::npos)
                 continue;
             m_requests_.inc();
             const auto read_done = RequestTrace::Clock::now();
@@ -622,6 +625,7 @@ Server::ndjsonConnection(int fd)
                 break;
             }
         }
+        pending.erase(0, begin);
         if (pending.size() > kMaxRequestBytes) {
             m_errors_.inc();
             sendAll(fd, errorFrame("", ErrorCategory::kUsage,

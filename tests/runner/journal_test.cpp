@@ -203,6 +203,65 @@ TEST(JobSpec, HashIsStableAndAttemptInvariant)
     EXPECT_NE(specHash(other), base);
 }
 
+// The canonical bytes and their FNV-1a key are the contract behind every
+// journal and result-cache key (job_spec.hpp): a change to either orphans
+// every stored entry, so both are pinned byte for byte.
+TEST(JobSpec, CanonicalBytesAndKeysArePinned)
+{
+    // The docs/serving.md example {"workload":"mcf","machine":"bdw",
+    // "instrs":20000}, as the wire parser and the CLI resolve it.
+    JobSpec mcf;
+    mcf.workload = "mcf";
+    mcf.machine = "bdw";
+    mcf.instrs = 30'000;
+    mcf.options.warmup_instrs = 10'000;
+    EXPECT_EQ(canonicalJson(mcf),
+              "{\"workload\":\"mcf\",\"machine\":\"bdw\",\"cores\":1,"
+              "\"instrs\":30000,\"options\":{\"spec_mode\":\"oracle\","
+              "\"accounting\":true,\"engine\":\"batched\",\"max_cycles\":0,"
+              "\"warmup_instrs\":10000,\"validation\":\"off\","
+              "\"validation_interval\":8192,\"watchdog_cycles\":0,"
+              "\"deadline_cycles\":0,\"job_timeout_seconds\":0,"
+              "\"fault\":null,\"interval_cycles\":0,\"trace_events\":false,"
+              "\"trace_capacity\":65536}}");
+    EXPECT_EQ(specHash(mcf), "5afabf17cffc7e3f");
+
+    // Every option away from its default, a fault and a non-integer
+    // timeout included.
+    JobSpec all;
+    all.workload = "povray";
+    all.machine = "knl";
+    all.cores = 3;
+    all.instrs = 123'457;
+    sim::SimOptions &o = all.options;
+    o.spec_mode = stacks::SpeculationMode::kSpecCounters;
+    o.accounting = false;
+    o.reference_engine = true;
+    o.max_cycles = 9'000'001;
+    o.warmup_instrs = 4'567;
+    o.validation = validate::ValidationPolicy::kStrict;
+    o.validation_interval = 1'024;
+    o.watchdog_cycles = 77'777;
+    o.deadline_cycles = 88'888'888;
+    o.job_timeout_seconds = 0.1;
+    o.attempt = 5;
+    o.fault = validate::FaultSpec{validate::FaultKind::kTransientLeak, 42};
+    o.obs.interval_cycles = 500;
+    o.obs.trace_events = true;
+    o.obs.trace_capacity = 4'096;
+    EXPECT_EQ(canonicalJson(all),
+              "{\"workload\":\"povray\",\"machine\":\"knl\",\"cores\":3,"
+              "\"instrs\":123457,\"options\":{\"spec_mode\":"
+              "\"spec-counters\",\"accounting\":false,\"engine\":"
+              "\"reference\",\"max_cycles\":9000001,\"warmup_instrs\":4567,"
+              "\"validation\":\"strict\",\"validation_interval\":1024,"
+              "\"watchdog_cycles\":77777,\"deadline_cycles\":88888888,"
+              "\"job_timeout_seconds\":0.10000000000000001,"
+              "\"fault\":\"transient-leak:42\",\"interval_cycles\":500,"
+              "\"trace_events\":true,\"trace_capacity\":4096}}");
+    EXPECT_EQ(specHash(all), "4628740d8e2d39b9");
+}
+
 TEST(JobSpec, CanonicalJsonExcludesAttempt)
 {
     JobSpec spec;

@@ -191,6 +191,20 @@ TEST(ProtocolSpecTest, HashMatchesEquivalentCliJobSpec)
         << "wire spec and CLI spec must share one cache identity";
 }
 
+TEST(ProtocolSpecTest, DocumentedExamplesHashToPinnedKeys)
+{
+    // The keys docs/serving.md prints for its example specs; the
+    // canonical bytes behind them are pinned in tests/runner.
+    EXPECT_EQ(runner::specHash(parseSpec(parseSpecJson(
+                  "{\"workload\":\"mcf\",\"machine\":\"bdw\","
+                  "\"instrs\":20000}"))),
+              "5afabf17cffc7e3f");
+    EXPECT_EQ(runner::specHash(parseSpec(parseSpecJson(
+                  "{\"workload\":\"bwaves\",\"machine\":\"skx\","
+                  "\"cores\":8,\"instrs\":5000000}"))),
+              "f658455b17bc4d00");
+}
+
 TEST(ProtocolSpecTest, OptionsRoundTrip)
 {
     const runner::JobSpec job = parseSpec(parseSpecJson(

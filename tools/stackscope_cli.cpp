@@ -54,7 +54,8 @@
  *   --tcp PORT          loopback HTTP/1.1 port (0 = ephemeral)
  *   --cache-mb N        result-cache byte budget in MiB (default 64)
  *   --heartbeat-ms N    progress-frame period (default 500)
- *   --drain-timeout SECS  shutdown grace period (default 30)
+ *   --drain-timeout SECS  shutdown grace period (default 30, at most
+ *                       86400)
  *   --slow-ms MS        warn-log the full span breakdown for requests
  *                       slower than MS wall milliseconds (0 = off)
  *   --slo-ms MS         rolling-window latency objective surfaced in
@@ -291,6 +292,9 @@ parseCount(const std::string &flag, const std::string &text,
     return out;
 }
 
+/** Longest accepted serve --drain-timeout (docs/serving.md). */
+constexpr std::uint64_t kMaxDrainTimeoutSeconds = 86'400;
+
 /** Parse a non-negative real option value strictly. */
 double
 parseReal(const std::string &flag, const std::string &text)
@@ -491,7 +495,18 @@ parseArgs(int argc, char **argv, CliOptions &opt)
         } else if (arg == "--heartbeat-ms") {
             opt.heartbeat_ms = parseCount(arg, value(), 1);
         } else if (arg == "--drain-timeout") {
-            opt.drain_timeout = parseReal(arg, value());
+            const std::string text = value();
+            opt.drain_timeout = parseReal(arg, text);
+            // cmdServe converts to integer milliseconds, which a huge
+            // finite value would overflow.
+            if (opt.drain_timeout >
+                static_cast<double>(kMaxDrainTimeoutSeconds)) {
+                throw StackscopeError(
+                    ErrorCategory::kUsage,
+                    "--drain-timeout must be at most " +
+                        std::to_string(kMaxDrainTimeoutSeconds) +
+                        " seconds, got '" + text + "'");
+            }
         } else if (arg == "--slow-ms") {
             opt.slow_ms = parseReal(arg, value());
         } else if (arg == "--slo-ms") {
