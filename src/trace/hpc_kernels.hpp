@@ -18,6 +18,12 @@
  * GEMM/conv shape. Convolution adds address arithmetic (lower VFP
  * fraction), edge-tile masking, strided input loads with real cache misses,
  * and periodic synchronization yields (the "Unsched" component of Fig. 5).
+ *
+ * Every kernel streams: its source generates one loop iteration at a time
+ * into a small reused buffer (at most about 1,030 uops, a conv im2col
+ * section plus one loop body), so building a trace costs O(1) time and
+ * memory whatever its length, and reset() and clone() replay it from the
+ * start in O(1). Each core of a multi-core run generates its own copy.
  */
 
 #ifndef STACKSCOPE_TRACE_HPC_KERNELS_HPP
@@ -75,14 +81,17 @@ struct ConvConfig
 /** Trace length used for each HPC kernel configuration. */
 inline constexpr std::uint64_t kHpcTraceInstrs = 300'000;
 
-/** Generate an sgemm kernel trace for @p target. */
+/**
+ * Stream an sgemm kernel for @p target. Like every kernel trace it runs
+ * whole loop iterations, ending with the one that reaches @p num_instrs.
+ */
 std::unique_ptr<TraceSource> makeSgemmTrace(const SgemmConfig &cfg,
                                             const HpcTarget &target,
                                             std::uint64_t num_instrs =
                                                 kHpcTraceInstrs,
                                             std::uint64_t seed = 42);
 
-/** Generate a convolution kernel trace for @p target. */
+/** Stream a convolution kernel for @p target. */
 std::unique_ptr<TraceSource> makeConvTrace(const ConvConfig &cfg,
                                            ConvPhase phase,
                                            const HpcTarget &target,
@@ -104,7 +113,7 @@ struct HpcBenchmark
     ConvConfig conv{};
     ConvPhase conv_phase = ConvPhase::kFwd;
 
-    /** Instantiate the trace, JITed for @p target. */
+    /** Stream the kernel, JITed for @p target. */
     std::unique_ptr<TraceSource> make(const HpcTarget &target,
                                       std::uint64_t num_instrs =
                                           kHpcTraceInstrs) const;

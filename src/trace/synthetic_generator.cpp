@@ -63,7 +63,7 @@ SyntheticGenerator::SyntheticGenerator(const SyntheticParams &params)
     const std::uint64_t reach =
         (params_.code_footprint + params_.function_bytes - 1) /
         params_.function_bytes * params_.function_bytes;
-    code_cache_.assign(reach / 4, 0);
+    code_cache_.reset(new std::atomic<std::uint8_t>[reach / 4]());
 
     reseed();
 }
@@ -96,7 +96,10 @@ SyntheticGenerator::reset()
 std::unique_ptr<TraceSource>
 SyntheticGenerator::clone() const
 {
-    return std::make_unique<SyntheticGenerator>(params_);
+    // The copy shares the code table; only the stream state restarts.
+    auto copy = std::make_unique<SyntheticGenerator>(*this);
+    copy->reseed();
+    return copy;
 }
 
 InstrClass
@@ -119,8 +122,8 @@ SyntheticGenerator::staticCodeAt(Addr pc)
     // Everything derived purely from the address (opcode class, microcode
     // flag, branch bias) is computed once per PC and cached; the hot path
     // is a single byte load instead of two hashes and a distribution walk.
-    const std::size_t idx = (pc - kCodeBase) >> 2;
-    std::uint8_t sc = code_cache_[idx];
+    std::atomic<std::uint8_t> &slot = code_cache_[(pc - kCodeBase) >> 2];
+    std::uint8_t sc = slot.load(std::memory_order_relaxed);
     if (sc != 0)
         return sc;
 
@@ -148,7 +151,7 @@ SyntheticGenerator::staticCodeAt(Addr pc)
             sc |= kScMicro;
     }
 
-    code_cache_[idx] = sc;
+    slot.store(sc, std::memory_order_relaxed);
     return sc;
 }
 

@@ -8,15 +8,17 @@
  * footprints, branch predictability, pointer chasing, streaming, microcode
  * density and synchronization yields. The workload library
  * (trace/workload_library.hpp) instantiates presets mimicking the paper's
- * named benchmarks.
+ * named benchmarks. A generator streams in O(1) memory apart from its
+ * static-code table, which it shares with all its clones.
  */
 
 #ifndef STACKSCOPE_TRACE_SYNTHETIC_GENERATOR_HPP
 #define STACKSCOPE_TRACE_SYNTHETIC_GENERATOR_HPP
 
 #include <array>
+#include <atomic>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "common/rng.hpp"
 #include "trace/trace_source.hpp"
@@ -129,8 +131,11 @@ struct SyntheticParams
 };
 
 /**
- * Streaming trace source realizing SyntheticParams. O(1) memory; reset()
- * and clone() reproduce the identical stream.
+ * Streaming trace source realizing SyntheticParams. O(1) memory per
+ * stream; reset() and clone() reproduce the identical stream. A generator
+ * and all its clones share one lazily filled static-code table, so clone()
+ * copies the fixed-size stream state and allocates no table, and the
+ * clones may be drained on different threads at once.
  */
 class SyntheticGenerator : public TraceSource
 {
@@ -171,8 +176,10 @@ class SyntheticGenerator : public TraceSource
      * class, microcode flag, branch bias) that are pure functions of
      * params + seed + address. One byte per 4-byte code slot; 0 means
      * "not computed yet". Survives reset() — the code image is static.
+     * Shared with every clone: clones filling the same byte on different
+     * threads store the same value, so relaxed atomics suffice.
      */
-    std::vector<std::uint8_t> code_cache_;
+    std::shared_ptr<std::atomic<std::uint8_t>[]> code_cache_;
 
     // Per-stream state (reset() restores).
     Rng rng_class_{0};

@@ -57,134 +57,7 @@ TraceBuilder::add(DynInstr instr)
     }
     next_pc_ += 4;
     instrs_.push_back(instr);
-    return InstrHandle{instrs_.size() - 1};
-}
-
-InstrHandle
-TraceBuilder::append(InstrClass cls, std::initializer_list<InstrHandle> deps,
-                     Addr mem_addr, bool taken, unsigned lanes,
-                     unsigned decode_cycles, std::uint32_t yield_cycles)
-{
-    DynInstr instr;
-    instr.pc = next_pc_;
-    next_pc_ += 4;
-    instr.cls = cls;
-    instr.mem_addr = mem_addr;
-    instr.branch_taken = taken;
-    instr.active_lanes = static_cast<std::uint8_t>(lanes);
-    instr.decode_cycles = static_cast<std::uint8_t>(decode_cycles);
-    instr.yield_cycles = yield_cycles;
-    for (InstrHandle h : deps) {
-        assert(h.index != kNoSeq && h.index < instrs_.size());
-        assert(instr.num_srcs < kMaxSrcs);
-        assert(instrs_.size() - h.index <= kMaxDepDistance);
-        instr.src[instr.num_srcs++] = h.index;
-    }
-    instrs_.push_back(instr);
-    return InstrHandle{instrs_.size() - 1};
-}
-
-InstrHandle
-TraceBuilder::nop()
-{
-    return append(InstrClass::kNop, {});
-}
-
-InstrHandle
-TraceBuilder::alu(std::initializer_list<InstrHandle> deps)
-{
-    return append(InstrClass::kAlu, deps);
-}
-
-InstrHandle
-TraceBuilder::mul(std::initializer_list<InstrHandle> deps)
-{
-    return append(InstrClass::kAluMul, deps);
-}
-
-InstrHandle
-TraceBuilder::div(std::initializer_list<InstrHandle> deps)
-{
-    return append(InstrClass::kAluDiv, deps);
-}
-
-InstrHandle
-TraceBuilder::load(Addr addr, std::initializer_list<InstrHandle> deps)
-{
-    return append(InstrClass::kLoad, deps, addr);
-}
-
-InstrHandle
-TraceBuilder::store(Addr addr, std::initializer_list<InstrHandle> deps)
-{
-    return append(InstrClass::kStore, deps, addr);
-}
-
-InstrHandle
-TraceBuilder::branch(bool taken, std::initializer_list<InstrHandle> deps)
-{
-    return append(InstrClass::kBranch, deps, 0, taken);
-}
-
-InstrHandle
-TraceBuilder::fpAdd(std::initializer_list<InstrHandle> deps)
-{
-    return append(InstrClass::kFpAdd, deps);
-}
-
-InstrHandle
-TraceBuilder::fpMul(std::initializer_list<InstrHandle> deps)
-{
-    return append(InstrClass::kFpMul, deps);
-}
-
-InstrHandle
-TraceBuilder::fpDiv(std::initializer_list<InstrHandle> deps)
-{
-    return append(InstrClass::kFpDiv, deps);
-}
-
-InstrHandle
-TraceBuilder::vfma(unsigned lanes, std::initializer_list<InstrHandle> deps)
-{
-    return append(InstrClass::kVecFma, deps, 0, false, lanes);
-}
-
-InstrHandle
-TraceBuilder::vadd(unsigned lanes, std::initializer_list<InstrHandle> deps)
-{
-    return append(InstrClass::kVecAdd, deps, 0, false, lanes);
-}
-
-InstrHandle
-TraceBuilder::vmul(unsigned lanes, std::initializer_list<InstrHandle> deps)
-{
-    return append(InstrClass::kVecMul, deps, 0, false, lanes);
-}
-
-InstrHandle
-TraceBuilder::vint(std::initializer_list<InstrHandle> deps)
-{
-    return append(InstrClass::kVecInt, deps);
-}
-
-InstrHandle
-TraceBuilder::vbroadcast(std::initializer_list<InstrHandle> deps)
-{
-    return append(InstrClass::kVecBroadcast, deps);
-}
-
-InstrHandle
-TraceBuilder::microcoded(unsigned decode_cycles,
-                         std::initializer_list<InstrHandle> deps)
-{
-    return append(InstrClass::kAlu, deps, 0, false, 0, decode_cycles);
-}
-
-InstrHandle
-TraceBuilder::yield(std::uint32_t cycles)
-{
-    return append(InstrClass::kYield, {}, 0, false, 0, 1, cycles);
+    return InstrHandle{size() - 1};
 }
 
 TraceBuilder &
@@ -204,19 +77,25 @@ TraceBuilder::repeatLast(std::size_t count, std::size_t times)
             // This is the natural loop-body semantics: an accumulator that
             // read its value from `count` instructions earlier keeps doing
             // so, chaining iteration to iteration.
-            for (unsigned s = 0; s < instr.num_srcs; ++s) {
-                const std::uint64_t distance = i - instr.src[s];
-                instr.src[s] = here - distance;
-            }
+            for (unsigned s = 0; s < instr.num_srcs; ++s)
+                instr.src[s] += here - i;
             instrs_.push_back(instr);
         }
     }
     return *this;
 }
 
+void
+TraceBuilder::clearPending()
+{
+    base_ += instrs_.size();
+    instrs_.clear();
+}
+
 std::unique_ptr<VectorTraceSource>
 TraceBuilder::build()
 {
+    assert(base_ == 0);
     return std::make_unique<VectorTraceSource>(std::move(instrs_));
 }
 

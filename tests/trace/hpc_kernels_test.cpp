@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <vector>
 
 namespace stackscope::trace {
@@ -177,6 +178,30 @@ TEST(HpcKernels, BackwardPhasesHaveMoreStores)
     EXPECT_GT(bwd_d, bwd_f);
 }
 
+TEST(HpcKernels, EverySourceWithinMaxDepDistance)
+{
+    // The contract of trace/instruction.hpp: no generator names a
+    // producer further back than kMaxDepDistance. The conv kernels' im2col
+    // sections push accumulators furthest back.
+    for (const HpcBenchmark &bm : deepBenchSuite()) {
+        for (const HpcTarget &target : {knlTarget(), skxTarget()}) {
+            auto src = bm.make(target, 60'000);
+            std::uint64_t n = 0;
+            int far = 0;
+            DynInstr i;
+            while (src->next(i)) {
+                for (unsigned s = 0; s < i.num_srcs; ++s)
+                    far += n - i.src[s] > kMaxDepDistance;
+                ++n;
+            }
+            EXPECT_EQ(far, 0)
+                << bm.name << (target.sgemm_style == SgemmCodegen::kKnlJit
+                                   ? " knl"
+                                   : " skx");
+        }
+    }
+}
+
 TEST(HpcKernels, SuiteCoversAllGroups)
 {
     std::map<std::string, int> groups;
@@ -201,16 +226,54 @@ TEST(HpcKernels, BenchmarkFactoryProducesTraces)
     EXPECT_LE(n, 5200u);
 }
 
+/** Every field of two streams is equal, uop for uop. */
+void
+expectSameStream(const std::vector<DynInstr> &a,
+                 const std::vector<DynInstr> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE(i);
+        ASSERT_EQ(a[i].pc, b[i].pc);
+        ASSERT_EQ(a[i].cls, b[i].cls);
+        ASSERT_EQ(a[i].decode_cycles, b[i].decode_cycles);
+        ASSERT_EQ(a[i].mem_addr, b[i].mem_addr);
+        ASSERT_EQ(a[i].branch_taken, b[i].branch_taken);
+        ASSERT_EQ(a[i].active_lanes, b[i].active_lanes);
+        ASSERT_EQ(a[i].yield_cycles, b[i].yield_cycles);
+        ASSERT_EQ(a[i].num_srcs, b[i].num_srcs);
+        for (unsigned s = 0; s < a[i].num_srcs; ++s)
+            ASSERT_EQ(a[i].src[s], b[i].src[s]);
+    }
+}
+
 TEST(HpcKernels, DeterministicAcrossCalls)
 {
     auto a = makeSgemmTrace({2048, 32, 2048}, knlTarget(), 8000);
     auto b = makeSgemmTrace({2048, 32, 2048}, knlTarget(), 8000);
-    const auto va = drain(*a);
-    const auto vb = drain(*b);
-    ASSERT_EQ(va.size(), vb.size());
-    for (std::size_t i = 0; i < va.size(); ++i) {
-        EXPECT_EQ(va[i].cls, vb[i].cls);
-        EXPECT_EQ(va[i].mem_addr, vb[i].mem_addr);
+    expectSameStream(drain(*a), drain(*b));
+
+    // A clone() taken part-way through, and a reset() part-way through,
+    // both replay the stream from its first uop. The conv stream carries
+    // RNG, stream-address and yield state across iterations; 90,000 uops
+    // cross im2col sections and yields.
+    std::unique_ptr<TraceSource> sources[] = {
+        makeSgemmTrace({1000, 64, 1000}, knlTarget(), 20000),
+        makeSgemmTrace({1760, 4, 1760}, skxTarget(), 20000),
+        makeConvTrace({56, 56, 128, 256, 3}, ConvPhase::kBwdData,
+                      skxTarget(), 90000, 7),
+    };
+    for (std::unique_ptr<TraceSource> &src : sources) {
+        const std::vector<DynInstr> full = drain(*src);
+        src->reset();
+        DynInstr i;
+        // Stop inside a loop iteration, not at its end.
+        for (std::size_t n = 0; n < full.size() / 3 + 5; ++n)
+            ASSERT_TRUE(src->next(i));
+        const std::unique_ptr<TraceSource> copy = src->clone();
+        expectSameStream(drain(*copy), full);
+        src->reset();
+        expectSameStream(drain(*src), full);
     }
 }
 

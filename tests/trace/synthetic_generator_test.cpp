@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <map>
+#include <memory>
+#include <thread>
 #include <vector>
+
+#include "trace/workload_library.hpp"
 
 namespace stackscope::trace {
 namespace {
@@ -62,6 +67,52 @@ TEST(SyntheticGenerator, CloneReproducesStream)
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); i += 97)
         EXPECT_EQ(a[i].pc, b[i].pc);
+}
+
+TEST(SyntheticGenerator, ClonesDrainConcurrently)
+{
+    // A generator's clones share one lazily filled code table. Four
+    // threads that fill it at once must each see the serial stream.
+    // cactus spans 512 KiB of code, so the threads race over many slots.
+    SyntheticParams p = findWorkload("cactus").params;
+    p.num_instrs = 100'000;
+    SyntheticGenerator serial(p);
+    const std::vector<DynInstr> expected = drain(serial);
+
+    const SyntheticGenerator master(p);
+    constexpr int kThreads = 4;
+    std::vector<std::unique_ptr<TraceSource>> clones;
+    for (int t = 0; t < kThreads; ++t)
+        clones.push_back(master.clone());
+    std::vector<std::vector<DynInstr>> streams(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            streams[t] = drain(*clones[t]);
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    for (int t = 0; t < kThreads; ++t) {
+        SCOPED_TRACE(t);
+        ASSERT_EQ(streams[t].size(), expected.size());
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+            const DynInstr &a = streams[t][i];
+            const DynInstr &b = expected[i];
+            ASSERT_EQ(a.pc, b.pc) << i;
+            ASSERT_EQ(a.cls, b.cls) << i;
+            ASSERT_EQ(a.decode_cycles, b.decode_cycles) << i;
+            ASSERT_EQ(a.mem_addr, b.mem_addr) << i;
+            ASSERT_EQ(a.branch_taken, b.branch_taken) << i;
+            ASSERT_EQ(a.active_lanes, b.active_lanes) << i;
+            ASSERT_EQ(a.num_srcs, b.num_srcs) << i;
+            for (unsigned s = 0; s < a.num_srcs; ++s)
+                ASSERT_EQ(a.src[s], b.src[s]) << i;
+        }
+    }
 }
 
 TEST(SyntheticGenerator, DependencesPointBackwardWithinWindow)
