@@ -267,7 +267,7 @@ TEST(HpcKernels, DeterministicAcrossCalls)
         const std::vector<DynInstr> full = drain(*src);
         src->reset();
         DynInstr i;
-        // Stop inside a loop iteration, not at its end.
+        // Stop part-way, at a point that need not end a loop iteration.
         for (std::size_t n = 0; n < full.size() / 3 + 5; ++n)
             ASSERT_TRUE(src->next(i));
         const std::unique_ptr<TraceSource> copy = src->clone();
