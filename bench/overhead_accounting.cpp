@@ -149,7 +149,7 @@ BM_AccountingWithObservability(benchmark::State &state)
         core::OooCore core =
             makeCore(true, stacks::SpeculationMode::kOracle);
         obs::IntervalAccountant iacct(1000);
-        obs::PipelineTracer tracer;
+        obs::PipelineTracer tracer(stacks::SpeculationMode::kOracle);
         while (!core.done()) {
             core.cycle();
             tracer.observe(core.cycles() - 1, core.cycleState(),
@@ -172,9 +172,8 @@ BM_AccountingWithObservability(benchmark::State &state)
 void
 BM_AccountantTickOnly(benchmark::State &state)
 {
-    // Isolate the marginal cost of one accountant tick.
-    stacks::CpiAccountant acct({stacks::Stage::kDispatch, 4,
-                                stacks::SpeculationMode::kOracle});
+    // Isolate the marginal cost of one tick: all four stacks, one cycle.
+    stacks::StackAccountant acct({});
     stacks::CycleState s;
     s.n_dispatch = 3;
     s.fe_has_correct = true;

@@ -11,7 +11,6 @@ namespace stackscope::core {
 using stacks::BackendBlame;
 using stacks::CycleState;
 using stacks::FrontendReason;
-using stacks::Stage;
 using stacks::VfpBlame;
 using trace::InstrClass;
 using uarch::InflightInstr;
@@ -23,6 +22,20 @@ namespace {
 // GCC builds such a temporary on the stack and copies it out with
 // overlapping reloads that defeat store forwarding, once per cycle.
 constexpr CycleState kFreshCycle{};
+
+/** The accountant's view of @p p: the one place its config is built. */
+stacks::StackAccountantConfig
+accountantConfig(const CoreParams &p)
+{
+    const auto width = [&](unsigned native) {
+        return p.accounting_native_widths ? native : p.effectiveWidth();
+    };
+    return {{width(p.dispatch_width), width(p.issue_width),
+             width(p.commit_width)},
+            p.spec_mode,
+            p.fu.vpu_units,
+            p.flops_vec_lanes};
+}
 
 }  // namespace
 
@@ -41,23 +54,11 @@ OooCore::OooCore(const CoreParams &params,
       scoreboard_(kScoreboardSize),
       pending_stores_(params.rob_size),
       store_filter_(kStoreFilterSize, 0),
-      acct_dispatch_({Stage::kDispatch,
-                      params.accounting_native_widths
-                          ? params.dispatch_width
-                          : params.effectiveWidth(),
-                      params.spec_mode}),
-      acct_issue_({Stage::kIssue,
-                   params.accounting_native_widths ? params.issue_width
-                                                   : params.effectiveWidth(),
-                   params.spec_mode}),
-      acct_commit_({Stage::kCommit,
-                    params.accounting_native_widths
-                        ? params.commit_width
-                        : params.effectiveWidth(),
-                    params.spec_mode}),
-      flops_({params.fu.vpu_units, params.flops_vec_lanes}),
-      // Another core's accesses can change this core's miss latencies
-      // mid-span, so a shared uncore rules skip-ahead out.
+      acct_(accountantConfig(params)),
+      // No skip-ahead with a shared uncore. Uncore::access fixes a
+      // request's done cycle when it is made, so no other core can move
+      // this core's pending events; lockstep stepping keeps the cores'
+      // calls into the shared uncore in order (docs/performance.md).
       skip_allowed_(params.batched_accounting && shared_uncore == nullptr)
 {
     assert(trace_);
@@ -71,28 +72,14 @@ OooCore::OooCore(const CoreParams &params,
     }
 }
 
-const stacks::CpiAccountant &
-OooCore::accountant(Stage stage) const
+const stacks::StackAccountant &
+OooCore::accountant() const
 {
     // Logical constness: handing over the pending idle run changes no
     // observable result, it only moves already-observed cycles into the
-    // accountants.
+    // stacks.
     const_cast<OooCore *>(this)->flushIdleRun();
-    switch (stage) {
-      case Stage::kDispatch: return acct_dispatch_;
-      case Stage::kIssue: return acct_issue_;
-      case Stage::kCommit: return acct_commit_;
-      case Stage::kCount: break;
-    }
-    assert(false);
-    return acct_dispatch_;
-}
-
-const stacks::FlopsAccountant &
-OooCore::flopsAccountant() const
-{
-    const_cast<OooCore *>(this)->flushIdleRun();
-    return flops_;
+    return acct_;
 }
 
 OooCore::ScoreEntry &
@@ -276,11 +263,11 @@ OooCore::captureHeadState()
 }
 
 void
-OooCore::onBranchFetchedAll(SeqNum seq)
+OooCore::onBranchFetched(SeqNum seq)
 {
-    // Only spec-counter epochs consume branch events (the accountants
-    // ignore them under oracle/simple), so everything else skips the
-    // three forwarding calls per branch.
+    // Only spec-counter epochs consume branch events (the accountant
+    // ignores them under oracle/simple), so everything else skips the
+    // call, and the idle run stays whole.
     if (!params_.accounting_enabled ||
         params_.spec_mode != stacks::SpeculationMode::kSpecCounters)
         return;
@@ -289,21 +276,17 @@ OooCore::onBranchFetchedAll(SeqNum seq)
     // cycle is accounted before the event, exactly as per-cycle ticking
     // interleaves them.
     flushIdleRun();
-    acct_dispatch_.onBranchFetched(seq);
-    acct_issue_.onBranchFetched(seq);
-    acct_commit_.onBranchFetched(seq);
+    acct_.onBranchFetched(seq);
 }
 
 void
-OooCore::onBranchResolvedAll(SeqNum seq, bool mispredicted)
+OooCore::onBranchResolved(SeqNum seq, bool mispredicted)
 {
     if (!params_.accounting_enabled ||
         params_.spec_mode != stacks::SpeculationMode::kSpecCounters)
         return;
     flushIdleRun();
-    acct_dispatch_.onBranchResolved(seq, mispredicted);
-    acct_issue_.onBranchResolved(seq, mispredicted);
-    acct_commit_.onBranchResolved(seq, mispredicted);
+    acct_.onBranchResolved(seq, mispredicted);
 }
 
 void
@@ -352,7 +335,7 @@ OooCore::squashAfter(unsigned branch_slot, SeqNum branch_seq)
     wp_last_producer_seq_ = kNoSeq;
     redirect_until_ =
         std::max<Cycle>(redirect_until_, now_ + params_.frontend_depth);
-    onBranchResolvedAll(branch_seq, /*mispredicted=*/true);
+    onBranchResolved(branch_seq, /*mispredicted=*/true);
 }
 
 void
@@ -392,7 +375,7 @@ OooCore::doCommit()
             }
         }
         if (h.instr.isBranch() && !h.mispredicted)
-            onBranchResolvedAll(h.seq, /*mispredicted=*/false);
+            onBranchResolved(h.seq, /*mispredicted=*/false);
         ++n;
         if (++slot == cap)
             slot = 0;
@@ -742,7 +725,7 @@ OooCore::doDispatch()
             se = ScoreEntry{tidx, kNeverCycle,
                             rob_.at(slot).instr.isLoad(), false, 1, false};
             if (is_branch)
-                onBranchFetchedAll(seq);
+                onBranchFetched(seq);
             if (is_store) {
                 pending_stores_.push_back(PendingStore{slot, seq, addr / 8});
                 ++store_filter_[(addr / 8) & (kStoreFilterSize - 1)];
@@ -894,20 +877,11 @@ OooCore::doFetch()
 }
 
 void
-OooCore::tickAccountants(const CycleState &s, Cycle n)
-{
-    acct_dispatch_.tick(s, n);
-    acct_issue_.tick(s, n);
-    acct_commit_.tick(s, n);
-    flops_.tick(s, n);
-}
-
-void
 OooCore::flushIdleRun()
 {
     if (idle_run_cycles_ == 0)
         return;
-    tickAccountants(idle_run_, idle_run_cycles_);
+    acct_.tick(idle_run_, idle_run_cycles_);
     idle_run_cycles_ = 0;
 }
 
@@ -930,7 +904,7 @@ OooCore::account(Cycle n)
         return;
     }
     flushIdleRun();
-    tickAccountants(cs_, n);
+    acct_.tick(cs_, n);
 }
 
 void
@@ -1073,43 +1047,19 @@ OooCore::run(Cycle max_cycles)
 void
 OooCore::resetMeasurement()
 {
-    const auto width_for = [&](unsigned native) {
-        return params_.accounting_native_widths ? native
-                                                : params_.effectiveWidth();
-    };
-    acct_dispatch_ = stacks::CpiAccountant(
-        {stacks::Stage::kDispatch, width_for(params_.dispatch_width),
-         params_.spec_mode});
-    acct_issue_ = stacks::CpiAccountant(
-        {stacks::Stage::kIssue, width_for(params_.issue_width),
-         params_.spec_mode});
-    acct_commit_ = stacks::CpiAccountant(
-        {stacks::Stage::kCommit, width_for(params_.commit_width),
-         params_.spec_mode});
-    flops_ = stacks::FlopsAccountant(
-        {params_.fu.vpu_units, params_.flops_vec_lanes});
-    idle_run_cycles_ = 0;  // warmup cycles never reach the fresh accountants
+    acct_ = stacks::StackAccountant(accountantConfig(params_));
+    idle_run_cycles_ = 0;  // warmup cycles never reach the fresh stacks
     stats_ = CoreStats{};
     measure_start_cycle_ = now_;
-    accounting_finalized_ = false;
 }
 
 void
 OooCore::finalizeAccounting()
 {
-    if (accounting_finalized_ || !params_.accounting_enabled)
+    if (acct_.finalized() || !params_.accounting_enabled)
         return;
     flushIdleRun();
-    acct_dispatch_.finalize();
-    acct_issue_.finalize();
-    acct_commit_.finalize();
-    if (params_.spec_mode == stacks::SpeculationMode::kSimple) {
-        const double commit_base =
-            acct_commit_.cycles()[stacks::CpiComponent::kBase];
-        acct_dispatch_.applySimpleFixup(commit_base);
-        acct_issue_.applySimpleFixup(commit_base);
-    }
-    accounting_finalized_ = true;
+    acct_.finalize();
 }
 
 }  // namespace stackscope::core

@@ -15,13 +15,13 @@
  *    loads (including MSHR and bandwidth contention);
  *  - in-order commit.
  *
- * Every cycle the core fills a stacks::CycleState observation and drives
- * the four accountants (dispatch/issue/commit CPI stacks and the FLOPS
- * stack), which is exactly the integration style the paper recommends for
- * simulators (§IV: negligible overhead).
+ * Every cycle the core fills a stacks::CycleState observation and hands
+ * it to one stacks::StackAccountant, which keeps the dispatch, issue and
+ * commit CPI stacks and the FLOPS stack: exactly the integration style
+ * the paper recommends for simulators (§IV: negligible overhead).
  *
  * A run of identical idle cycles is held as one pending CycleState plus
- * a cycle count and handed to the accountants in a single tick(state, n);
+ * a cycle count and handed to the accountant in a single tick(state, n);
  * provably quiet spans extend that run while `now_` skips ahead to the
  * next writeback/refill/redirect event (docs/performance.md).
  * CoreParams::batched_accounting = false turns off both the fold and the
@@ -40,9 +40,8 @@
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "core/wb_calendar.hpp"
-#include "stacks/cpi_accountant.hpp"
 #include "stacks/cycle_state.hpp"
-#include "stacks/flops_accountant.hpp"
+#include "stacks/stack_accountant.hpp"
 #include "trace/trace_source.hpp"
 #include "uarch/branch_predictor.hpp"
 #include "uarch/cache_hierarchy.hpp"
@@ -71,7 +70,7 @@ struct CoreParams
     uarch::HierarchyParams mem{};
     uarch::BranchPredictorParams bpred{};
 
-    /** Wrong-path handling for the dispatch/issue accountants (§III-B). */
+    /** Wrong-path handling for the dispatch and issue stacks (§III-B). */
     stacks::SpeculationMode spec_mode = stacks::SpeculationMode::kOracle;
 
     /** Master switch for all stack accounting (overhead benchmark). */
@@ -79,7 +78,7 @@ struct CoreParams
 
     /**
      * Engine selection: true (default) folds runs of identical idle
-     * cycles into one accountant call and skips ahead across provably
+     * cycles into one accountant tick and skips ahead across provably
      * quiet spans; false ticks every cycle on its own, with no fold and
      * no skip: the per-cycle oracle the golden identity suite compares
      * against (SimOptions::reference_engine).
@@ -115,7 +114,7 @@ struct CoreParams
  * Wall-time breakdown of the pipeline stages, accumulated by
  * OooCore::cycleProfiled() when a profile sink is attached
  * (`bench/simspeed --profile`). Nanoseconds of std::chrono::steady_clock;
- * `accounting_ns` covers the accountant ticks, the pending idle run and
+ * `accounting_ns` covers the accountant's ticks, the pending idle run and
  * skip-ahead.
  */
 struct StageProfile
@@ -170,7 +169,7 @@ class OooCore
     void finalizeAccounting();
 
     /**
-     * Restart measurement at the current cycle: zero the accountants and
+     * Restart measurement at the current cycle: zero the stacks and
      * statistics while keeping all microarchitectural state (caches,
      * predictor, pipeline contents) warm. This is the paper's
      * fast-forward-then-measure methodology (§IV).
@@ -218,10 +217,8 @@ class OooCore
                    : static_cast<double>(cycles()) /
                          static_cast<double>(stats_.instrs_committed);
     }
-    /** Per-stage accountant; hands over the pending idle run first. */
-    const stacks::CpiAccountant &accountant(stacks::Stage stage) const;
-    /** FLOPS accountant; hands over the pending idle run first. */
-    const stacks::FlopsAccountant &flopsAccountant() const;
+    /** The stack accountant; hands over the pending idle run first. */
+    const stacks::StackAccountant &accountant() const;
     /** The observation record of the most recently executed cycle. */
     const stacks::CycleState &cycleState() const { return cs_; }
     const uarch::CacheHierarchy &caches() const { return mem_; }
@@ -282,9 +279,8 @@ class OooCore
     void stepUnsched();
     /** Account cs_ for @p n cycles: extend the pending idle run or tick. */
     void account(Cycle n = 1);
-    /** Hand the pending idle run to the four accountants in one call. */
+    /** Hand the pending idle run to the accountant in one tick. */
     void flushIdleRun();
-    void tickAccountants(const stacks::CycleState &s, Cycle n);
     void maybeSkipAhead();
 
     void fetchCorrectPath(unsigned budget);
@@ -324,8 +320,10 @@ class OooCore
     stacks::BackendBlame headBlame() const;
     void captureHeadState();
     void issueOne(unsigned slot);
-    void onBranchFetchedAll(SeqNum seq);
-    void onBranchResolvedAll(SeqNum seq, bool mispredicted);
+    /** @name Branch events for spec-counter accounting @{ */
+    void onBranchFetched(SeqNum seq);
+    void onBranchResolved(SeqNum seq, bool mispredicted);
+    /** @} */
     void recountRsVfp();
     /** FLOPS-stack inputs (cs_.vfp_in_rs / vfp_blame) from the RS walk. */
     void scanVfpWait();
@@ -406,12 +404,8 @@ class OooCore
     std::vector<std::uint16_t> store_filter_;
 
     // Accounting.
-    stacks::CpiAccountant acct_dispatch_;
-    stacks::CpiAccountant acct_issue_;
-    stacks::CpiAccountant acct_commit_;
-    stacks::FlopsAccountant flops_;
+    stacks::StackAccountant acct_;
     stacks::CycleState cs_;
-    bool accounting_finalized_ = false;
     /** Pending idle run: idle_run_ observed on idle_run_cycles_ cycles. */
     stacks::CycleState idle_run_;
     Cycle idle_run_cycles_ = 0;

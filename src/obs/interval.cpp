@@ -65,13 +65,13 @@ IntervalAccountant::capture(const core::OooCore &core, Cycle now)
     s.start = prev_cycles_;
     s.end = now;
     s.instrs = core.stats().instrs_committed - prev_instrs_;
+    const stacks::StackAccountant &acct = core.accountant();
     for (std::size_t i = 0; i < stacks::kNumStages; ++i) {
-        const stacks::CpiStack cur =
-            core.accountant(static_cast<Stage>(i)).cycles();
+        const stacks::CpiStack cur = acct.cycles(static_cast<Stage>(i));
         s.cycle_stacks[i] = cur - prev_stacks_[i];
         prev_stacks_[i] = cur;
     }
-    const stacks::FlopsStack cur_flops = core.flopsAccountant().cycles();
+    const stacks::FlopsStack cur_flops = acct.flopsCycles();
     s.flops_cycles = cur_flops - prev_flops_;
     prev_flops_ = cur_flops;
     prev_cycles_ = now;
@@ -98,13 +98,13 @@ IntervalAccountant::finish(const core::OooCore &core)
     // redistributed mass (e.g. the kSimple fixup). Fold the residual into
     // the last sample so the series keeps summing to the aggregate.
     IntervalSample &last = series_.samples.back();
+    const stacks::StackAccountant &acct = core.accountant();
     for (std::size_t i = 0; i < stacks::kNumStages; ++i) {
-        const stacks::CpiStack cur =
-            core.accountant(static_cast<Stage>(i)).cycles();
+        const stacks::CpiStack cur = acct.cycles(static_cast<Stage>(i));
         last.cycle_stacks[i] += cur - prev_stacks_[i];
         prev_stacks_[i] = cur;
     }
-    const stacks::FlopsStack cur_flops = core.flopsAccountant().cycles();
+    const stacks::FlopsStack cur_flops = acct.flopsCycles();
     last.flops_cycles += cur_flops - prev_flops_;
     prev_flops_ = cur_flops;
 }

@@ -4,12 +4,12 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "stacks/stack_accountant.hpp"
 
 namespace stackscope::obs {
 
-using stacks::BackendBlame;
+using stacks::CpiComponent;
 using stacks::CycleState;
-using stacks::FrontendReason;
 using stacks::Stage;
 
 std::string_view
@@ -32,76 +32,38 @@ toString(StallCause cause)
 
 namespace {
 
-StallCause
-fromFrontend(FrontendReason reason)
-{
-    switch (reason) {
-      case FrontendReason::kIcache: return StallCause::kIcache;
-      case FrontendReason::kBpred: return StallCause::kBpred;
-      case FrontendReason::kMicrocode: return StallCause::kMicrocode;
-      case FrontendReason::kDrain: return StallCause::kDrain;
-      case FrontendReason::kNone: return StallCause::kOther;
-    }
-    return StallCause::kOther;
-}
-
-StallCause
-fromBlame(BackendBlame blame)
-{
-    switch (blame) {
-      case BackendBlame::kDcache: return StallCause::kDcache;
-      case BackendBlame::kAluLat: return StallCause::kAluLat;
-      case BackendBlame::kDepend:
-      case BackendBlame::kNone: return StallCause::kDepend;
-    }
-    return StallCause::kDepend;
-}
-
 /**
- * Mirror CpiAccountant's Table II attribution so each lane's stall cause
- * matches the component the accountant charges for the same cycle.
+ * The trace's name for stage @p stage's stall on a cycle that observed
+ * @p s: the component the stack accountant charges, except that a
+ * draining pipeline keeps its own cause where the stacks say "Other".
  */
 StallCause
-dispatchCause(const CycleState &s)
+stallCause(Stage stage, const CycleState &s, stacks::SpeculationMode mode)
 {
-    if (s.unsched)
-        return StallCause::kUnsched;
-    if (s.backend_full)
-        return fromBlame(s.head_blame);
-    return fromFrontend(s.fe_reason);
-}
-
-StallCause
-issueCause(const CycleState &s)
-{
-    if (s.unsched)
-        return StallCause::kUnsched;
-    if (s.rs_empty_correct) {
-        if (s.backend_full)
-            return fromBlame(s.head_blame);
-        return fromFrontend(s.fe_reason);
+    const stacks::StallSource source = stacks::stallSource(stage, s, mode);
+    if (source == stacks::StallSource::kFrontend &&
+        s.fe_reason == stacks::FrontendReason::kDrain)
+        return StallCause::kDrain;
+    switch (stacks::stallComponent(source, s)) {
+      case CpiComponent::kIcache: return StallCause::kIcache;
+      case CpiComponent::kBpred: return StallCause::kBpred;
+      case CpiComponent::kMicrocode: return StallCause::kMicrocode;
+      case CpiComponent::kDcache: return StallCause::kDcache;
+      case CpiComponent::kAluLat: return StallCause::kAluLat;
+      case CpiComponent::kDepend: return StallCause::kDepend;
+      case CpiComponent::kUnsched: return StallCause::kUnsched;
+      case CpiComponent::kBase:
+      case CpiComponent::kOther:
+      case CpiComponent::kCount: break;
     }
-    if (s.issue_blame != BackendBlame::kNone)
-        return fromBlame(s.issue_blame);
-    return StallCause::kOther;
-}
-
-StallCause
-commitCause(const CycleState &s)
-{
-    if (s.unsched)
-        return StallCause::kUnsched;
-    if (s.rob_empty_correct)
-        return fromFrontend(s.fe_reason);
-    if (s.head_incomplete)
-        return fromBlame(s.head_blame);
     return StallCause::kOther;
 }
 
 }  // namespace
 
-PipelineTracer::PipelineTracer(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity)
+PipelineTracer::PipelineTracer(stacks::SpeculationMode mode,
+                               std::size_t capacity)
+    : mode_(mode), capacity_(capacity == 0 ? 1 : capacity)
 {
     ring_.reserve(capacity_ < 1024 ? capacity_ : 1024);
 }
@@ -162,13 +124,15 @@ PipelineTracer::observe(Cycle cycle, const CycleState &s,
 {
     const std::uint32_t disp = s.n_dispatch + s.n_dispatch_wrong;
     const std::uint32_t iss = s.n_issue + s.n_issue_wrong;
+    const auto cause = [&](Stage stage, std::uint32_t uops) {
+        return uops > 0 ? StallCause::kNone : stallCause(stage, s, mode_);
+    };
     laneObserve(static_cast<std::size_t>(Stage::kDispatch), disp > 0,
-                disp > 0 ? StallCause::kNone : dispatchCause(s), disp, cycle);
+                cause(Stage::kDispatch, disp), disp, cycle);
     laneObserve(static_cast<std::size_t>(Stage::kIssue), iss > 0,
-                iss > 0 ? StallCause::kNone : issueCause(s), iss, cycle);
+                cause(Stage::kIssue, iss), iss, cycle);
     laneObserve(static_cast<std::size_t>(Stage::kCommit), s.n_commit > 0,
-                s.n_commit > 0 ? StallCause::kNone : commitCause(s),
-                s.n_commit, cycle);
+                cause(Stage::kCommit, s.n_commit), s.n_commit, cycle);
     if (squashed_total > last_squashed_) {
         TraceEvent e;
         e.start = cycle;

@@ -4,13 +4,14 @@
  * a Chrome trace-event (chrome://tracing / Perfetto) JSON exporter.
  *
  * The tracer consumes the same per-cycle stacks::CycleState observation
- * the accountants do, so it attaches to the simulation loop without
- * touching the core's hot path: contiguous cycles in which a stage is
- * active (or stalled for one cause) collapse into a single span event,
- * which is what keeps the event rate — and therefore the overhead — low.
- * The stall causes use exactly the attribution rules of the Table II
- * accountants, so the trace timeline is the time-resolved view of what
- * the CPI stacks aggregate.
+ * the stack accountant does, so it attaches to the simulation loop
+ * without touching the core's hot path: contiguous cycles in which a
+ * stage is active (or stalled for one cause) collapse into a single span
+ * event, which is what keeps the event rate — and therefore the overhead
+ * — low. A stall's cause comes from the accountant's own Table II
+ * decision (stacks::stallSource) under the run's speculation mode, so the
+ * trace timeline is the time-resolved view of what the CPI stacks
+ * aggregate.
  *
  * Event lanes per core (Chrome "tid"): 0 = pipeline events (flush,
  * watchdog, validation), 1 = dispatch, 2 = issue, 3 = commit. The full
@@ -28,6 +29,7 @@
 #include "common/types.hpp"
 #include "stacks/components.hpp"
 #include "stacks/cycle_state.hpp"
+#include "stacks/speculation.hpp"
 
 namespace stackscope::obs {
 
@@ -97,7 +99,9 @@ class PipelineTracer
   public:
     static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
-    explicit PipelineTracer(std::size_t capacity = kDefaultCapacity);
+    /** @param mode the run's speculation mode, which Table II reads. */
+    explicit PipelineTracer(stacks::SpeculationMode mode,
+                            std::size_t capacity = kDefaultCapacity);
 
     /**
      * Observe the cycle that just executed. @p cycle is the measured
@@ -131,6 +135,7 @@ class PipelineTracer
     void closeLane(std::size_t lane, Cycle end);
     void push(const TraceEvent &event);
 
+    stacks::SpeculationMode mode_;
     std::size_t capacity_;
     std::vector<TraceEvent> ring_;
     std::size_t head_ = 0;  ///< index of the oldest event once wrapped

@@ -125,7 +125,7 @@ struct CoreRun
         if (options.obs.interval_cycles != 0)
             iacct.emplace(options.obs.interval_cycles);
         if (options.obs.trace_events)
-            tracer.emplace(options.obs.trace_capacity);
+            tracer.emplace(options.spec_mode, options.obs.trace_capacity);
     }
 
     std::unique_ptr<core::OooCore> core;
@@ -311,12 +311,13 @@ runCores(const MachineConfig &machine, const trace::TraceSource &trace,
         r.stats = c.stats();
         r.stats.cycles = r.cycles;
         if (options.accounting) {
+            const stacks::StackAccountant &acct = c.accountant();
             for (std::size_t s = 0; s < stacks::kNumStages; ++s) {
                 const auto stage = static_cast<Stage>(s);
-                r.cycle_stacks[s] = c.accountant(stage).cycles();
-                r.cpi_stacks[s] = c.accountant(stage).cpi(r.instrs);
+                r.cycle_stacks[s] = acct.cycles(stage);
+                r.cpi_stacks[s] = acct.cpi(stage, r.instrs);
             }
-            r.flops_cycles = c.flopsAccountant().cycles();
+            r.flops_cycles = acct.flopsCycles();
         }
 
         if (faults(FaultTarget::kResult)) {

@@ -31,7 +31,7 @@ parseSpeculationMode(std::string_view text)
 void
 SpeculativeCounters::onBranchFetched(SeqNum seq)
 {
-    epochs_.push_back(Epoch{seq, CpiStack{}});
+    epochs_.push_back(Epoch{seq, StageStacks{}});
 }
 
 void
@@ -45,38 +45,31 @@ SpeculativeCounters::onBranchResolved(SeqNum seq, bool mispredicted)
     if (mispredicted) {
         // Everything accumulated since this branch was fetched is
         // wrong-path work: credit it all to the bpred component.
-        double squashed = 0.0;
-        for (auto e = it; e != epochs_.end(); ++e)
-            squashed += e->pending.sum();
-        committed_[CpiComponent::kBpred] += squashed;
+        for (std::size_t s = 0; s < kNumStages; ++s) {
+            double squashed = 0.0;
+            for (auto e = it; e != epochs_.end(); ++e)
+                squashed += e->pending[s].sum();
+            committed_[s][CpiComponent::kBpred] += squashed;
+        }
         epochs_.erase(it, epochs_.end());
     } else {
         // Proven correct: merge into the parent epoch (or the committed
         // counters if this was the oldest in-flight branch).
-        if (it == epochs_.begin()) {
-            committed_ += it->pending;
-        } else {
-            auto parent = std::prev(it);
-            parent->pending += it->pending;
-        }
+        StageStacks &into =
+            it == epochs_.begin() ? committed_ : std::prev(it)->pending;
+        for (std::size_t s = 0; s < kNumStages; ++s)
+            into[s] += it->pending[s];
         epochs_.erase(it);
     }
 }
 
 void
-SpeculativeCounters::add(CpiComponent c, double value)
-{
-    if (epochs_.empty())
-        committed_[c] += value;
-    else
-        epochs_.back().pending[c] += value;
-}
-
-void
 SpeculativeCounters::finalize()
 {
-    for (Epoch &e : epochs_)
-        committed_ += e.pending;
+    for (Epoch &e : epochs_) {
+        for (std::size_t s = 0; s < kNumStages; ++s)
+            committed_[s] += e.pending[s];
+    }
     epochs_.clear();
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Wrong-path handling strategies for the dispatch/issue accountants
+ * Wrong-path handling strategies for the dispatch and issue stacks
  * (paper §III-B).
  *
  * - kOracle: the simulator is functional-first, so wrong-path uops are
@@ -53,10 +53,11 @@ std::optional<SpeculationMode> parseSpeculationMode(std::string_view text);
 /**
  * Branch-epoch buffer for SpeculationMode::kSpecCounters.
  *
- * Every cycle contribution is added to the epoch of the youngest in-flight
- * branch. When a branch resolves correctly its epoch merges into its
- * parent; when it mispredicts, its epoch and all younger epochs are
- * credited to the bpred component.
+ * Every cycle contribution goes to the epoch of the youngest in-flight
+ * branch. One epoch holds all three stage stacks, so a branch event is
+ * one operation. When a branch resolves correctly its epoch merges into
+ * its parent; when it mispredicts, its epoch and all younger epochs are
+ * credited to the bpred component, stage by stage.
  */
 class SpeculativeCounters
 {
@@ -67,15 +68,23 @@ class SpeculativeCounters
     /**
      * Record the resolution of branch @p seq.
      * @param mispredicted squashes this epoch and all younger ones into
-     *        the bpred component of the committed stack.
+     *        the bpred component of the committed stacks.
      */
     void onBranchResolved(SeqNum seq, bool mispredicted);
 
-    /** Accumulate @p value into @p c in the current (youngest) epoch. */
-    void add(CpiComponent c, double value);
+    /**
+     * Where contributions go now: the youngest epoch's stacks, or the
+     * committed stacks while no branch is in flight. A branch event
+     * invalidates the reference.
+     */
+    StageStacks &
+    current()
+    {
+        return epochs_.empty() ? committed_ : epochs_.back().pending;
+    }
 
     /** Committed (architecturally proven) counters. */
-    const CpiStack &committed() const { return committed_; }
+    const StageStacks &committed() const { return committed_; }
 
     /** Flush all outstanding epochs into the committed counters. */
     void finalize();
@@ -87,11 +96,11 @@ class SpeculativeCounters
     struct Epoch
     {
         SeqNum branch_seq;
-        CpiStack pending;
+        StageStacks pending;
     };
 
     std::deque<Epoch> epochs_;
-    CpiStack committed_;
+    StageStacks committed_{};
 };
 
 /**

@@ -121,6 +121,9 @@ using CpiStack = StackT<CpiComponent>;
 /** A FLOPS stack (values in cycles or FLOPS units depending on context). */
 using FlopsStack = StackT<FlopsComponent>;
 
+/** One CPI stack per pipeline stage, indexed by Stage. */
+using StageStacks = std::array<CpiStack, kNumStages>;
+
 }  // namespace stackscope::stacks
 
 #endif  // STACKSCOPE_STACKS_STACK_HPP

@@ -346,15 +346,15 @@ IntervalValidator::check(const core::OooCore &core, ValidationReport &report)
     // Mid-run the attribution must already be exact: every tick
     // distributes exactly one cycle over the components.
     const double tol = 1e-6 * cycles + 1.0;
+    const stacks::StackAccountant &acct = core.accountant();
     for (Stage s : kStages) {
-        const stacks::CpiAccountant &acct = core.accountant(s);
         // Spec-counter stacks hold uncommitted mass until finalize();
         // their conservation is only defined at end of run.
-        if (acct.speculationMode() ==
+        if (acct.config().spec_mode ==
             stacks::SpeculationMode::kSpecCounters)
             continue;
         ++report.checks_run;
-        const CpiStack &cyc = acct.cycles();
+        const CpiStack &cyc = acct.cycles(s);
         if (!allFinite(cyc)) {
             report.add(Invariant::kFinite,
                        std::string("non-finite component in the ") +
@@ -395,7 +395,7 @@ IntervalValidator::check(const core::OooCore &core, ValidationReport &report)
     }
 
     ++report.checks_run;
-    const double fsum = core.flopsAccountant().cycles().sum();
+    const double fsum = acct.flopsCycles().sum();
     if (!std::isfinite(fsum) || std::abs(fsum - cycles) > tol) {
         report.add(Invariant::kFlopsSum,
                    fmt("FLOPS stack sums to %.6g after %.6g measured "

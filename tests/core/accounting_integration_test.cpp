@@ -1,4 +1,4 @@
-/** Integration tests: the four accountants attached to the live core,
+/** Integration tests: the stack accountant attached to the live core,
  *  checking the paper's structural invariants end to end. */
 
 #include <gtest/gtest.h>
@@ -41,11 +41,11 @@ TEST(AccountingIntegration, StacksSumToTotalCycles)
     core.run(0);
     const double cycles = static_cast<double>(core.cycles());
     for (Stage s : {Stage::kDispatch, Stage::kIssue, Stage::kCommit}) {
-        EXPECT_NEAR(core.accountant(s).cycles().sum(), cycles,
+        EXPECT_NEAR(core.accountant().cycles(s).sum(), cycles,
                     cycles * 1e-9 + 2.0)
             << toString(s);
     }
-    EXPECT_NEAR(core.flopsAccountant().cycles().sum(), cycles, 2.0);
+    EXPECT_NEAR(core.accountant().flopsCycles().sum(), cycles, 2.0);
 }
 
 TEST(AccountingIntegration, BaseComponentEqualAcrossStages)
@@ -55,11 +55,11 @@ TEST(AccountingIntegration, BaseComponentEqualAcrossStages)
     OooCore core(realisticParams(), mixedTrace());
     core.run(0);
     const double base_d =
-        core.accountant(Stage::kDispatch).cycles()[CpiComponent::kBase];
+        core.accountant().cycles(Stage::kDispatch)[CpiComponent::kBase];
     const double base_i =
-        core.accountant(Stage::kIssue).cycles()[CpiComponent::kBase];
+        core.accountant().cycles(Stage::kIssue)[CpiComponent::kBase];
     const double base_c =
-        core.accountant(Stage::kCommit).cycles()[CpiComponent::kBase];
+        core.accountant().cycles(Stage::kCommit)[CpiComponent::kBase];
     EXPECT_NEAR(base_d, base_c, base_c * 0.001 + 2.0);
     EXPECT_NEAR(base_i, base_c, base_c * 0.001 + 2.0);
 }
@@ -69,7 +69,7 @@ TEST(AccountingIntegration, FrontendComponentsShrinkTowardCommit)
     OooCore core(realisticParams(), mixedTrace());
     core.run(0);
     auto fe_sum = [&](Stage s) {
-        const auto &c = core.accountant(s).cycles();
+        const auto &c = core.accountant().cycles(s);
         return c[CpiComponent::kIcache] + c[CpiComponent::kBpred] +
                c[CpiComponent::kMicrocode];
     };
@@ -86,7 +86,7 @@ TEST(AccountingIntegration, BackendComponentsGrowTowardCommit)
     OooCore core(realisticParams(), mixedTrace());
     core.run(0);
     auto be_sum = [&](Stage s) {
-        const auto &c = core.accountant(s).cycles();
+        const auto &c = core.accountant().cycles(s);
         return c[CpiComponent::kDcache] + c[CpiComponent::kAluLat] +
                c[CpiComponent::kDepend];
     };
@@ -103,10 +103,10 @@ TEST(AccountingIntegration, AllComponentsNonNegative)
     OooCore core(realisticParams(), mixedTrace());
     core.run(0);
     for (Stage s : {Stage::kDispatch, Stage::kIssue, Stage::kCommit}) {
-        core.accountant(s).cycles().forEach(
+        core.accountant().cycles(s).forEach(
             [&](CpiComponent, double v) { EXPECT_GE(v, 0.0); });
     }
-    core.flopsAccountant().cycles().forEach(
+    core.accountant().flopsCycles().forEach(
         [&](stacks::FlopsComponent, double v) { EXPECT_GE(v, 0.0); });
 }
 
@@ -125,8 +125,8 @@ TEST(AccountingIntegration, SpecCountersApproximateOracle)
     sc.run(0);
 
     ASSERT_EQ(oracle.cycles(), sc.cycles());  // timing is unaffected
-    const auto &od = oracle.accountant(Stage::kDispatch).cycles();
-    const auto &sd = sc.accountant(Stage::kDispatch).cycles();
+    const auto &od = oracle.accountant().cycles(Stage::kDispatch);
+    const auto &sd = sc.accountant().cycles(Stage::kDispatch);
     const double total = od.sum();
     EXPECT_NEAR(sd.sum(), total, total * 0.001 + 2.0);
     // The bpred component agrees within a few percent of total cycles.
@@ -141,13 +141,13 @@ TEST(AccountingIntegration, SimpleModeBaseMatchesCommitAfterFixup)
     OooCore core(p, mixedTrace());
     core.run(0);
     const double base_d =
-        core.accountant(Stage::kDispatch).cycles()[CpiComponent::kBase];
+        core.accountant().cycles(Stage::kDispatch)[CpiComponent::kBase];
     const double base_c =
-        core.accountant(Stage::kCommit).cycles()[CpiComponent::kBase];
+        core.accountant().cycles(Stage::kCommit)[CpiComponent::kBase];
     // After the fixup the dispatch base cannot exceed the commit base.
     EXPECT_LE(base_d, base_c + 1e-6);
     // And the stack still sums to the cycle count.
-    EXPECT_NEAR(core.accountant(Stage::kDispatch).cycles().sum(),
+    EXPECT_NEAR(core.accountant().cycles(Stage::kDispatch).sum(),
                 static_cast<double>(core.cycles()), 2.0);
 }
 
@@ -160,9 +160,9 @@ TEST(AccountingIntegration, SimpleModeMovesWrongPathToBpred)
     OooCore core(p, mixedTrace());
     core.run(0);
     ASSERT_GT(core.stats().branch_mispredicts, 100u);
-    EXPECT_GT(core.accountant(Stage::kDispatch)
-                  .cycles()[CpiComponent::kBpred],
-              0.0);
+    EXPECT_GT(
+        core.accountant().cycles(Stage::kDispatch)[CpiComponent::kBpred],
+        0.0);
 }
 
 TEST(AccountingIntegration, TimingIndependentOfAccounting)
@@ -184,7 +184,7 @@ TEST(AccountingIntegration, CpiMatchesCyclesOverInstructions)
     OooCore core(realisticParams(), mixedTrace());
     core.run(0);
     const auto cpi_stack =
-        core.accountant(Stage::kCommit).cpi(core.stats().instrs_committed);
+        core.accountant().cpi(Stage::kCommit, core.stats().instrs_committed);
     EXPECT_NEAR(cpi_stack.sum(), core.cpi(), core.cpi() * 1e-6 + 1e-6);
 }
 

@@ -37,7 +37,7 @@ TEST(Measurement, ResetZeroesCountersKeepsState)
 }
 
 /** A reset inside an idle run drops the run: the warmup cycles it holds
- *  must not reach the fresh accountants. */
+ *  must not reach the fresh stacks. */
 TEST(Measurement, ResetDropsPendingIdleRun)
 {
     trace::TraceBuilder b;
@@ -51,8 +51,8 @@ TEST(Measurement, ResetDropsPendingIdleRun)
     core.run(0);
     const auto cycles = static_cast<double>(core.cycles());
     for (Stage s : {Stage::kDispatch, Stage::kIssue, Stage::kCommit})
-        EXPECT_EQ(core.accountant(s).accountedCycles(), cycles);
-    EXPECT_EQ(core.flopsAccountant().cycles().sum(), cycles);
+        EXPECT_EQ(core.accountant().cycles(s).sum(), cycles);
+    EXPECT_EQ(core.accountant().flopsCycles().sum(), cycles);
 }
 
 TEST(Measurement, WarmupReducesColdStartCpi)
@@ -119,16 +119,16 @@ TEST(WidthNormalization, NormalizedBasesAreEqualNativeAreNot)
     OooCore native(params, gen.clone());
     native.run(0);
 
-    const double n_disp = normalized.accountant(Stage::kDispatch)
-                              .cycles()[CpiComponent::kBase];
+    const double n_disp =
+        normalized.accountant().cycles(Stage::kDispatch)[CpiComponent::kBase];
     const double n_iss =
-        normalized.accountant(Stage::kIssue).cycles()[CpiComponent::kBase];
+        normalized.accountant().cycles(Stage::kIssue)[CpiComponent::kBase];
     EXPECT_NEAR(n_disp, n_iss, n_disp * 0.005 + 1.0);
 
     const double v_disp =
-        native.accountant(Stage::kDispatch).cycles()[CpiComponent::kBase];
+        native.accountant().cycles(Stage::kDispatch)[CpiComponent::kBase];
     const double v_iss =
-        native.accountant(Stage::kIssue).cycles()[CpiComponent::kBase];
+        native.accountant().cycles(Stage::kIssue)[CpiComponent::kBase];
     // Native issue base = instrs/6 instead of instrs/4: 1/3 smaller.
     EXPECT_NEAR(v_iss, v_disp * 4.0 / 6.0, v_disp * 0.02);
 
@@ -146,7 +146,7 @@ TEST(WidthNormalization, NativeWidthsStillSumToCycles)
     OooCore core(params, gen.clone());
     core.run(0);
     for (Stage s : {Stage::kDispatch, Stage::kIssue, Stage::kCommit}) {
-        EXPECT_NEAR(core.accountant(s).cycles().sum(),
+        EXPECT_NEAR(core.accountant().cycles(s).sum(),
                     static_cast<double>(core.cycles()),
                     core.cycles() * 0.001 + 2.0)
             << toString(s);

@@ -27,9 +27,9 @@ TEST(PipelineStalls, IcacheMissesShowAtDispatchFirst)
     }
     OooCore core(p, b.build());
     core.run(0);
-    const auto &disp = core.accountant(Stage::kDispatch).cycles();
-    const auto &iss = core.accountant(Stage::kIssue).cycles();
-    const auto &com = core.accountant(Stage::kCommit).cycles();
+    const auto &disp = core.accountant().cycles(Stage::kDispatch);
+    const auto &iss = core.accountant().cycles(Stage::kIssue);
+    const auto &com = core.accountant().cycles(Stage::kCommit);
     EXPECT_GT(disp[CpiComponent::kIcache], 0.0);
     // Frontend components shrink toward the commit stage (§III-A).
     EXPECT_GE(disp[CpiComponent::kIcache], iss[CpiComponent::kIcache]);
@@ -50,9 +50,9 @@ TEST(PipelineStalls, DcacheMissesShowAtCommitFirst)
     }
     OooCore core(p, b.build());
     core.run(0);
-    const auto &disp = core.accountant(Stage::kDispatch).cycles();
-    const auto &iss = core.accountant(Stage::kIssue).cycles();
-    const auto &com = core.accountant(Stage::kCommit).cycles();
+    const auto &disp = core.accountant().cycles(Stage::kDispatch);
+    const auto &iss = core.accountant().cycles(Stage::kIssue);
+    const auto &com = core.accountant().cycles(Stage::kCommit);
     EXPECT_GT(com[CpiComponent::kDcache], 0.0);
     // Backend accounting starts soonest at commit, latest at dispatch
     // (the paper guarantees commit >= dispatch; issue lies in between
@@ -91,7 +91,7 @@ TEST(PipelineStalls, MispredictionsCostCyclesAndShowAsBpred)
     EXPECT_GT(core.stats().branch_mispredicts, 500u);
     EXPECT_GT(core.stats().wrong_path_dispatched, 0u);
     EXPECT_GT(core.stats().squashed_uops, 0u);
-    const auto &disp = core.accountant(Stage::kDispatch).cycles();
+    const auto &disp = core.accountant().cycles(Stage::kDispatch);
     EXPECT_GT(disp[CpiComponent::kBpred], 0.0);
     // Perfect prediction removes the cost.
     CoreParams ideal = idealCoreParams();
@@ -140,7 +140,7 @@ TEST(PipelineStalls, MicrocodeOccupiesDecoder)
     }
     OooCore core(p, b.build());
     core.run(0);
-    const auto &disp = core.accountant(Stage::kDispatch).cycles();
+    const auto &disp = core.accountant().cycles(Stage::kDispatch);
     EXPECT_GT(disp[CpiComponent::kMicrocode], 0.0);
     // Each microcoded uop holds the decoder 4 extra cycles; with 4 uops
     // per iteration the CPI is dominated by decode: ~5 cycles / 4 uops.
@@ -160,12 +160,12 @@ TEST(PipelineStalls, YieldsFreezeTheCoreAndCountAsUnsched)
     core.run(0);
     EXPECT_GT(core.cycles(), 500u);
     for (Stage s : {Stage::kDispatch, Stage::kIssue, Stage::kCommit}) {
-        EXPECT_NEAR(core.accountant(s).cycles()[CpiComponent::kUnsched],
+        EXPECT_NEAR(core.accountant().cycles(s)[CpiComponent::kUnsched],
                     500.0, 1.0)
             << toString(s);
     }
     EXPECT_NEAR(
-        core.flopsAccountant().cycles()[stacks::FlopsComponent::kUnsched],
+        core.accountant().flopsCycles()[stacks::FlopsComponent::kUnsched],
         500.0, 1.0);
 }
 
@@ -183,7 +183,7 @@ TEST(PipelineStalls, LoadStoreConflictDelaysLoadAsOther)
     }
     OooCore core(p, b.build());
     core.run(0);
-    const auto &iss = core.accountant(Stage::kIssue).cycles();
+    const auto &iss = core.accountant().cycles(Stage::kIssue);
     EXPECT_GT(iss[CpiComponent::kOther], 0.0);
 }
 
@@ -197,7 +197,7 @@ TEST(PipelineStalls, DisabledAccountingProducesNoStacks)
     OooCore core(p, b.build());
     core.run(0);
     EXPECT_GT(core.cycles(), 0u);
-    EXPECT_DOUBLE_EQ(core.accountant(Stage::kDispatch).cycles().sum(), 0.0);
+    EXPECT_DOUBLE_EQ(core.accountant().cycles(Stage::kDispatch).sum(), 0.0);
 }
 
 }  // namespace

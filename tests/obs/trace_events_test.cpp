@@ -6,14 +6,18 @@
 #include "obs/trace_events.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "json_checker.hpp"
 #include "obs/json.hpp"
 #include "sim/presets.hpp"
 #include "sim/simulation.hpp"
+#include "stacks/stack_accountant.hpp"
 #include "trace/synthetic_generator.hpp"
 #include "trace/workload_library.hpp"
 
@@ -21,6 +25,7 @@ namespace stackscope::obs {
 namespace {
 
 using stacks::CycleState;
+using stacks::SpeculationMode;
 using stacks::Stage;
 
 constexpr auto kDispatchLane =
@@ -59,7 +64,7 @@ laneEvents(const EventLog &log, std::uint8_t lane)
 
 TEST(PipelineTracer, MergesContiguousCyclesIntoSpans)
 {
-    PipelineTracer tracer;
+    PipelineTracer tracer(SpeculationMode::kOracle);
     Cycle cycle = 0;
     for (int i = 0; i < 3; ++i)
         tracer.observe(cycle++, activeCycle(), 0);
@@ -82,13 +87,15 @@ TEST(PipelineTracer, MergesContiguousCyclesIntoSpans)
 
 TEST(PipelineTracer, StallCauseFollowsAccountantAttribution)
 {
-    // Backend-full dispatch stall blames the ROB head, mirroring the
-    // Table II dispatch accountant.
+    // A correct-path uop waits in the fetch queue but the backend is
+    // full: Table II blames the ROB head.
     CycleState s;
+    s.fe_has_correct = true;
+    s.fe_has_any = true;
     s.backend_full = true;
     s.head_blame = stacks::BackendBlame::kDcache;
 
-    PipelineTracer tracer;
+    PipelineTracer tracer(SpeculationMode::kOracle);
     tracer.observe(0, s, 0);
     tracer.finish(1);
     const EventLog log = tracer.take();
@@ -98,9 +105,97 @@ TEST(PipelineTracer, StallCauseFollowsAccountantAttribution)
     EXPECT_EQ(lane[0].cause, StallCause::kDcache);
 }
 
+/** "ALU lat" -> "alu-lat": a CPI component's name as a trace cause. */
+std::string
+causeName(stacks::CpiComponent c)
+{
+    std::string out(stacks::componentName(c));
+    for (char &ch : out) {
+        ch = ch == ' ' ? '-'
+                       : static_cast<char>(
+                             std::tolower(static_cast<unsigned char>(ch)));
+    }
+    return out;
+}
+
+/** A random observation: any mix of frontend, ROB, RS and yield facts,
+ *  with each stage idle about half the time. */
+CycleState
+randomObservation(Rng &rng)
+{
+    using stacks::BackendBlame;
+    using stacks::FrontendReason;
+    CycleState s;
+    s.fe_has_correct = rng.chance(0.5);
+    s.fe_has_any = s.fe_has_correct || rng.chance(0.5);
+    s.fe_reason = static_cast<FrontendReason>(rng.below(5));
+    s.backend_full = rng.chance(0.5);
+    s.rob_empty_correct = rng.chance(0.3);
+    s.rob_empty_any = s.rob_empty_correct && rng.chance(0.5);
+    s.head_incomplete = rng.chance(0.5);
+    s.head_blame = static_cast<BackendBlame>(rng.below(4));
+    s.rs_empty_correct = rng.chance(0.3);
+    s.rs_empty_any = s.rs_empty_correct && rng.chance(0.5);
+    s.ready_unissued = rng.chance(0.3);
+    s.issue_blame = static_cast<BackendBlame>(rng.below(4));
+    s.unsched = rng.chance(0.05);
+    const auto uops = [&](std::uint64_t bound) {
+        return rng.chance(0.5) ? 0u : static_cast<std::uint32_t>(
+                                          rng.below(bound));
+    };
+    s.n_dispatch = uops(3);
+    s.n_dispatch_wrong = uops(2);
+    s.n_issue = uops(3);
+    s.n_issue_wrong = uops(2);
+    s.n_commit = uops(3);
+    return s;
+}
+
+TEST(PipelineTracer, StallCausesNameTheAccountantsComponents)
+{
+    // For every fully stalled stage, in every speculation mode, the lane's
+    // cause names the component the stack accountant charged for that
+    // cycle. The trace's "drain" is the stacks' "Other".
+    Rng rng(0x7ace5eed);
+    for (const SpeculationMode mode : stacks::kSpeculationModes) {
+        SCOPED_TRACE(std::string(stacks::toString(mode)));
+        for (int i = 0; i < 3000; ++i) {
+            const CycleState s = randomObservation(rng);
+            stacks::StackAccountant acct({{4, 4, 4}, mode, 2, 16});
+            acct.tick(s);
+            acct.finalize();
+            PipelineTracer tracer(mode);
+            tracer.observe(0, s, 0);
+            tracer.finish(1);
+            const EventLog log = tracer.take();
+            for (std::uint8_t lane = 0; lane < stacks::kNumStages; ++lane) {
+                const std::vector<TraceEvent> spans = laneEvents(log, lane);
+                ASSERT_EQ(spans.size(), 1u);
+                if (spans[0].kind != TraceEventKind::kStageStall)
+                    continue;
+                // A fresh accountant charges a fully stalled stage's
+                // whole cycle to one component.
+                std::string charged;
+                acct.cycles(static_cast<Stage>(lane))
+                    .forEach([&](stacks::CpiComponent c, double v) {
+                        if (v == 1.0)
+                            charged = causeName(c);
+                    });
+                std::string cause(toString(spans[0].cause));
+                if (cause == "drain")
+                    cause = "other";
+                EXPECT_EQ(cause, charged)
+                    << "lane " << int(lane) << ", case " << i;
+            }
+            if (::testing::Test::HasFailure())
+                return;
+        }
+    }
+}
+
 TEST(PipelineTracer, FlushesBecomeInstantEvents)
 {
-    PipelineTracer tracer;
+    PipelineTracer tracer(SpeculationMode::kOracle);
     tracer.observe(0, activeCycle(), 0);
     tracer.observe(1, activeCycle(), 7);  // 7 uops squashed this cycle
     tracer.observe(2, activeCycle(), 7);  // no further squashes
@@ -118,7 +213,7 @@ TEST(PipelineTracer, FlushesBecomeInstantEvents)
 
 TEST(PipelineTracer, RingBufferBoundsMemory)
 {
-    PipelineTracer tracer(4);
+    PipelineTracer tracer(SpeculationMode::kOracle, 4);
     // Alternate active/stall each cycle so every cycle closes a span on
     // all three lanes: far more events than capacity.
     for (Cycle c = 0; c < 40; ++c)
@@ -138,7 +233,7 @@ TEST(PipelineTracer, RingBufferBoundsMemory)
 
 TEST(PipelineTracer, NoteRecordsInstantEvents)
 {
-    PipelineTracer tracer;
+    PipelineTracer tracer(SpeculationMode::kOracle);
     tracer.note(TraceEventKind::kWatchdog, 123);
     tracer.note(TraceEventKind::kValidation, 456, 2);
     tracer.finish(500);

@@ -1,18 +1,24 @@
-/** Unit tests for the Table II per-stage CPI accounting algorithms,
- *  driven by hand-constructed CycleState sequences. */
+/** Unit tests for the Table II per-stage CPI accounting algorithms of
+ *  StackAccountant, driven by hand-constructed CycleState sequences and
+ *  read one stage's stack at a time. */
 
-#include "stacks/cpi_accountant.hpp"
+#include "stacks/stack_accountant.hpp"
 
 #include <gtest/gtest.h>
+
+#include "common/error.hpp"
 
 namespace stackscope::stacks {
 namespace {
 
-CpiAccountantConfig
-cfg(Stage stage, unsigned width = 4,
-    SpeculationMode mode = SpeculationMode::kOracle)
+/** Every stage accounted at @p width. */
+StackAccountantConfig
+cfg(unsigned width = 4, SpeculationMode mode = SpeculationMode::kOracle)
 {
-    return {stage, width, mode};
+    StackAccountantConfig c;
+    c.widths = {width, width, width};
+    c.spec_mode = mode;
+    return c;
 }
 
 /** A fully-utilized cycle. */
@@ -34,17 +40,19 @@ fullCycle(unsigned width = 4)
 
 TEST(CpiAccountant, FullWidthAccountsBaseOnly)
 {
-    CpiAccountant a(cfg(Stage::kDispatch));
+    StackAccountant a(cfg());
+    const Stage stage = Stage::kDispatch;
     for (int i = 0; i < 10; ++i)
         a.tick(fullCycle());
     a.finalize();
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kBase], 10.0);
-    EXPECT_DOUBLE_EQ(a.cycles().sum(), 10.0);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kBase], 10.0);
+    EXPECT_DOUBLE_EQ(a.cycles(stage).sum(), 10.0);
 }
 
 TEST(CpiAccountant, PartialWidthSplitsBaseAndStall)
 {
-    CpiAccountant a(cfg(Stage::kDispatch));
+    StackAccountant a(cfg());
+    const Stage stage = Stage::kDispatch;
     CycleState s = fullCycle();
     s.n_dispatch = 1;  // f = 1/4
     s.fe_has_correct = false;
@@ -52,8 +60,8 @@ TEST(CpiAccountant, PartialWidthSplitsBaseAndStall)
     s.fe_reason = FrontendReason::kIcache;
     a.tick(s);
     a.finalize();
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kBase], 0.25);
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kIcache], 0.75);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kBase], 0.25);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kIcache], 0.75);
 }
 
 TEST(CpiAccountant, DispatchFrontendReasons)
@@ -69,12 +77,13 @@ TEST(CpiAccountant, DispatchFrontendReasons)
         {FrontendReason::kDrain, CpiComponent::kOther},
     };
     for (const auto &c : cases) {
-        CpiAccountant a(cfg(Stage::kDispatch));
+        StackAccountant a(cfg());
+        const Stage stage = Stage::kDispatch;
         CycleState s;
         s.fe_reason = c.reason;
         a.tick(s);
         a.finalize();
-        EXPECT_DOUBLE_EQ(a.cycles()[c.comp], 1.0)
+        EXPECT_DOUBLE_EQ(a.cycles(stage)[c.comp], 1.0)
             << static_cast<int>(c.reason);
     }
 }
@@ -91,7 +100,8 @@ TEST(CpiAccountant, DispatchBackendFullBlamesHead)
         {BackendBlame::kDepend, CpiComponent::kDepend},
     };
     for (const auto &c : cases) {
-        CpiAccountant a(cfg(Stage::kDispatch));
+        StackAccountant a(cfg());
+        const Stage stage = Stage::kDispatch;
         CycleState s;
         s.fe_has_correct = true;  // frontend has work, backend is full
         s.fe_has_any = true;
@@ -99,14 +109,15 @@ TEST(CpiAccountant, DispatchBackendFullBlamesHead)
         s.head_blame = c.blame;
         a.tick(s);
         a.finalize();
-        EXPECT_DOUBLE_EQ(a.cycles()[c.comp], 1.0);
+        EXPECT_DOUBLE_EQ(a.cycles(stage)[c.comp], 1.0);
     }
 }
 
 TEST(CpiAccountant, DispatchFrontendEmptyHasPriorityOverBackendFull)
 {
     // Table II checks "FE empty" before "ROB or RS full".
-    CpiAccountant a(cfg(Stage::kDispatch));
+    StackAccountant a(cfg());
+    const Stage stage = Stage::kDispatch;
     CycleState s;
     s.fe_has_correct = false;
     s.fe_has_any = false;
@@ -115,13 +126,14 @@ TEST(CpiAccountant, DispatchFrontendEmptyHasPriorityOverBackendFull)
     s.head_blame = BackendBlame::kDcache;
     a.tick(s);
     a.finalize();
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kIcache], 1.0);
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kDcache], 0.0);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kIcache], 1.0);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kDcache], 0.0);
 }
 
 TEST(CpiAccountant, IssueBlamesProducerOfFirstNonReady)
 {
-    CpiAccountant a(cfg(Stage::kIssue));
+    StackAccountant a(cfg());
+    const Stage stage = Stage::kIssue;
     CycleState s;
     s.rs_empty_correct = false;
     s.rs_empty_any = false;
@@ -132,14 +144,15 @@ TEST(CpiAccountant, IssueBlamesProducerOfFirstNonReady)
     s.issue_blame = BackendBlame::kDepend;
     a.tick(s);
     a.finalize();
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kDcache], 1.0);
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kAluLat], 1.0);
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kDepend], 1.0);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kDcache], 1.0);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kAluLat], 1.0);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kDepend], 1.0);
 }
 
 TEST(CpiAccountant, IssueStructuralStallIsOther)
 {
-    CpiAccountant a(cfg(Stage::kIssue));
+    StackAccountant a(cfg());
+    const Stage stage = Stage::kIssue;
     CycleState s;
     s.rs_empty_correct = false;
     s.rs_empty_any = false;
@@ -148,26 +161,28 @@ TEST(CpiAccountant, IssueStructuralStallIsOther)
     s.n_issue = 2;
     a.tick(s);
     a.finalize();
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kBase], 0.5);
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kOther], 0.5);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kBase], 0.5);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kOther], 0.5);
 }
 
 TEST(CpiAccountant, IssueRsEmptyUsesFrontendReason)
 {
-    CpiAccountant a(cfg(Stage::kIssue));
+    StackAccountant a(cfg());
+    const Stage stage = Stage::kIssue;
     CycleState s;
     s.rs_empty_correct = true;
     s.rs_empty_any = true;
     s.fe_reason = FrontendReason::kBpred;
     a.tick(s);
     a.finalize();
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kBpred], 1.0);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kBpred], 1.0);
 }
 
 TEST(CpiAccountant, IssueRsEmptyWithBackendFullBlamesHead)
 {
     // RS drained while the ROB is full (long Dcache miss): backend stall.
-    CpiAccountant a(cfg(Stage::kIssue));
+    StackAccountant a(cfg());
+    const Stage stage = Stage::kIssue;
     CycleState s;
     s.rs_empty_correct = true;
     s.rs_empty_any = true;
@@ -176,24 +191,26 @@ TEST(CpiAccountant, IssueRsEmptyWithBackendFullBlamesHead)
     s.fe_reason = FrontendReason::kNone;
     a.tick(s);
     a.finalize();
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kDcache], 1.0);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kDcache], 1.0);
 }
 
 TEST(CpiAccountant, CommitRobEmptyUsesFrontend)
 {
-    CpiAccountant a(cfg(Stage::kCommit));
+    StackAccountant a(cfg());
+    const Stage stage = Stage::kCommit;
     CycleState s;
     s.rob_empty_correct = true;
     s.rob_empty_any = true;
     s.fe_reason = FrontendReason::kIcache;
     a.tick(s);
     a.finalize();
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kIcache], 1.0);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kIcache], 1.0);
 }
 
 TEST(CpiAccountant, CommitHeadIncompleteBlamesHead)
 {
-    CpiAccountant a(cfg(Stage::kCommit));
+    StackAccountant a(cfg());
+    const Stage stage = Stage::kCommit;
     CycleState s;
     s.rob_empty_correct = false;
     s.rob_empty_any = false;
@@ -202,27 +219,29 @@ TEST(CpiAccountant, CommitHeadIncompleteBlamesHead)
     s.n_commit = 1;
     a.tick(s);
     a.finalize();
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kBase], 0.25);
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kAluLat], 0.75);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kBase], 0.25);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kAluLat], 0.75);
 }
 
 TEST(CpiAccountant, UnschedCycles)
 {
-    CpiAccountant a(cfg(Stage::kCommit));
+    StackAccountant a(cfg());
+    const Stage stage = Stage::kCommit;
     CycleState s;
     s.unsched = true;
     a.tick(s);
     a.tick(s);
     a.finalize();
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kUnsched], 2.0);
-    EXPECT_DOUBLE_EQ(a.cycles().sum(), 2.0);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kUnsched], 2.0);
+    EXPECT_DOUBLE_EQ(a.cycles(stage).sum(), 2.0);
 }
 
 TEST(CpiAccountant, WidthCarryOverForWiderStage)
 {
     // Issue stage wider than W: issuing 6 with W=4 gives f=1.5; the 0.5
     // excess transfers to the next cycle (§III-A).
-    CpiAccountant a(cfg(Stage::kIssue, 4));
+    StackAccountant a(cfg(4));
+    const Stage stage = Stage::kIssue;
     CycleState s = fullCycle();
     s.n_issue = 6;
     a.tick(s);
@@ -233,16 +252,17 @@ TEST(CpiAccountant, WidthCarryOverForWiderStage)
     a.tick(idle);
     a.finalize();
     // Cycle 1: base 1.0. Cycle 2: carry 0.5 -> base 0.5, icache 0.5.
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kBase], 1.5);
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kIcache], 0.5);
-    EXPECT_DOUBLE_EQ(a.cycles().sum(), 2.0);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kBase], 1.5);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kIcache], 0.5);
+    EXPECT_DOUBLE_EQ(a.cycles(stage).sum(), 2.0);
 }
 
 TEST(CpiAccountant, EveryCycleSumsToOne)
 {
     // Property: whatever the state, each tick adds exactly 1 cycle
     // (barring carry-over, which this state sequence avoids).
-    CpiAccountant a(cfg(Stage::kDispatch));
+    StackAccountant a(cfg());
+    const Stage stage = Stage::kDispatch;
     CycleState states[4];
     states[0] = fullCycle();
     states[1].fe_reason = FrontendReason::kBpred;
@@ -257,40 +277,45 @@ TEST(CpiAccountant, EveryCycleSumsToOne)
         expected += 1.0;
     }
     a.finalize();
-    EXPECT_NEAR(a.cycles().sum(), expected, 1e-9);
+    EXPECT_NEAR(a.cycles(stage).sum(), expected, 1e-9);
 }
 
 TEST(CpiAccountant, CpiDividesByInstructions)
 {
-    CpiAccountant a(cfg(Stage::kCommit));
+    StackAccountant a(cfg());
+    const Stage stage = Stage::kCommit;
     for (int i = 0; i < 8; ++i)
         a.tick(fullCycle());
     a.finalize();
-    const CpiStack cpi = a.cpi(32);  // 8 cycles, 32 instrs
+    const CpiStack cpi = a.cpi(stage, 32);  // 8 cycles, 32 instrs
     EXPECT_DOUBLE_EQ(cpi[CpiComponent::kBase], 0.25);
-    EXPECT_DOUBLE_EQ(a.cpi(0).sum(), 0.0);
+    EXPECT_DOUBLE_EQ(a.cpi(stage, 0).sum(), 0.0);
 }
 
 TEST(CpiAccountant, SimpleModeCountsWrongPathThenFixup)
 {
-    CpiAccountant a(cfg(Stage::kDispatch, 4, SpeculationMode::kSimple));
-    // 2 correct + 2 wrong-path uops per cycle for 10 cycles.
+    StackAccountant a(cfg(4, SpeculationMode::kSimple));
+    const Stage stage = Stage::kDispatch;
+    // 2 correct + 2 wrong-path uops per cycle for 10 cycles, of which
+    // only the 2 correct ones commit.
     CycleState s = fullCycle();
     s.n_dispatch = 2;
     s.n_dispatch_wrong = 2;
+    s.n_commit = 2;
     for (int i = 0; i < 10; ++i)
         a.tick(s);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kBase], 10.0);
+    // finalize(): the commit-stage base is 5.0, so the surplus of 5
+    // moves to bpred.
     a.finalize();
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kBase], 10.0);
-    // Commit-stage base would be 5.0 -> surplus 5 moves to bpred.
-    a.applySimpleFixup(5.0);
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kBase], 5.0);
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kBpred], 5.0);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kBase], 5.0);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kBpred], 5.0);
 }
 
 TEST(CpiAccountant, OracleModeIgnoresWrongPath)
 {
-    CpiAccountant a(cfg(Stage::kDispatch, 4, SpeculationMode::kOracle));
+    StackAccountant a(cfg(4, SpeculationMode::kOracle));
+    const Stage stage = Stage::kDispatch;
     CycleState s = fullCycle();
     s.n_dispatch = 0;
     s.n_dispatch_wrong = 4;
@@ -298,8 +323,31 @@ TEST(CpiAccountant, OracleModeIgnoresWrongPath)
     s.fe_reason = FrontendReason::kBpred;
     a.tick(s);
     a.finalize();
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kBase], 0.0);
-    EXPECT_DOUBLE_EQ(a.cycles()[CpiComponent::kBpred], 1.0);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kBase], 0.0);
+    EXPECT_DOUBLE_EQ(a.cycles(stage)[CpiComponent::kBpred], 1.0);
+}
+
+TEST(StackAccountant, ChecksConfigAndLifecycle)
+{
+    for (std::size_t stage = 0; stage < kNumStages; ++stage) {
+        StackAccountantConfig c = cfg();
+        c.widths[stage] = 0;
+        EXPECT_THROW(StackAccountant{c}, StackscopeError);
+    }
+    StackAccountantConfig no_vpu = cfg();
+    no_vpu.vpu_count = 0;
+    EXPECT_THROW(StackAccountant{no_vpu}, StackscopeError);
+    StackAccountantConfig no_lanes = cfg();
+    no_lanes.vec_lanes = 0;
+    EXPECT_THROW(StackAccountant{no_lanes}, StackscopeError);
+
+    // Spec-counter stacks hold uncommitted epochs until finalize().
+    StackAccountant spec(cfg(4, SpeculationMode::kSpecCounters));
+    spec.tick(fullCycle());
+    EXPECT_THROW((void)spec.cycles(Stage::kCommit), StackscopeError);
+    spec.finalize();
+    EXPECT_DOUBLE_EQ(spec.cycles(Stage::kCommit).sum(), 1.0);
+    EXPECT_THROW(spec.tick(fullCycle()), StackscopeError);
 }
 
 }  // namespace

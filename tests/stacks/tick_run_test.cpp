@@ -14,8 +14,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "stacks/cpi_accountant.hpp"
-#include "stacks/flops_accountant.hpp"
+#include "stacks/stack_accountant.hpp"
 
 namespace stackscope::stacks {
 namespace {
@@ -126,18 +125,15 @@ expectSumsTo(double sum, Cycle cycles, bool exact)
 
 /**
  * One seeded property sweep at accounting width @p w: each trial starts
- * both sides from the per-cycle accountants' state (carry included),
- * then runs tick(s, n) on the copies against n calls of tick(s).
+ * both sides from the per-cycle accountant's state (carry included),
+ * then runs tick(s, n) on a copy against n calls of tick(s).
  */
 void
 checkWidth(unsigned w, SpeculationMode mode, unsigned v)
 {
     const bool exact = (w & (w - 1)) == 0;
     constexpr unsigned k = 2;
-    std::vector<CpiAccountant> stepped;
-    for (Stage stage : {Stage::kDispatch, Stage::kIssue, Stage::kCommit})
-        stepped.emplace_back(CpiAccountantConfig{stage, w, mode});
-    FlopsAccountant flops_stepped({k, v});
+    StackAccountant stepped({{w, w, w}, mode, k, v});
 
     Rng rng(kSeed + w * 131 + static_cast<unsigned>(mode) * 7 + v);
     Cycle ticked = 0;
@@ -151,35 +147,29 @@ checkWidth(unsigned w, SpeculationMode mode, unsigned v)
             CycleState burst;
             burst.n_dispatch = burst.n_issue = burst.n_commit =
                 static_cast<std::uint32_t>(w + 1 + rng.below(2 * w));
-            for (CpiAccountant &a : stepped)
-                a.tick(burst);
-            flops_stepped.tick(burst);
+            stepped.tick(burst);
             ++ticked;
             saw_carry = true;
         }
 
         const CycleState s = randomState(rng, w, k, v);
         const Cycle n = randomRunLength(rng);
-        std::vector<CpiAccountant> folded = stepped;
-        FlopsAccountant flops_folded = flops_stepped;
-        for (CpiAccountant &a : folded)
-            a.tick(s, n);
-        flops_folded.tick(s, n);
-        for (Cycle i = 0; i < n; ++i) {
-            for (CpiAccountant &a : stepped)
-                a.tick(s);
-            flops_stepped.tick(s);
-        }
+        StackAccountant folded = stepped;
+        folded.tick(s, n);
+        for (Cycle i = 0; i < n; ++i)
+            stepped.tick(s);
         ticked += n;
 
-        for (std::size_t i = 0; i < stepped.size(); ++i) {
-            expectMatch(folded[i].cycles(), stepped[i].cycles(), exact, n);
-            expectSumsTo(folded[i].accountedCycles(), ticked, exact);
-            expectSumsTo(stepped[i].accountedCycles(), ticked, exact);
+        for (std::size_t i = 0; i < kNumStages; ++i) {
+            const auto stage = static_cast<Stage>(i);
+            expectMatch(folded.cycles(stage), stepped.cycles(stage), exact,
+                        n);
+            expectSumsTo(folded.cycles(stage).sum(), ticked, exact);
+            expectSumsTo(stepped.cycles(stage).sum(), ticked, exact);
         }
         // The FLOPS stack does not depend on W: its peaks are dyadic.
-        expectMatch(flops_folded.cycles(), flops_stepped.cycles(), true, n);
-        expectSumsTo(flops_folded.cycles().sum(), ticked, true);
+        expectMatch(folded.flopsCycles(), stepped.flopsCycles(), true, n);
+        expectSumsTo(folded.flopsCycles().sum(), ticked, true);
         if (::testing::Test::HasFailure())
             return;
     }
@@ -208,7 +198,8 @@ TEST(TickRun, NonDyadicWidthsFoldWithinTolerance)
  *  the fold: the first cycles are pure base, the rest pure stall. */
 TEST(TickRun, CarryDrainsBeforeTheFold)
 {
-    CpiAccountant a({Stage::kCommit, 4, SpeculationMode::kOracle});
+    StackAccountant a({{4, 4, 4}, SpeculationMode::kOracle, 2, 16});
+    const Stage stage = Stage::kCommit;
     CycleState burst;
     burst.n_commit = 14;  // f = 3.5: one cycle of base, carry 2.5
     a.tick(burst);
@@ -222,9 +213,9 @@ TEST(TickRun, CarryDrainsBeforeTheFold)
 
     // Carry 2.5 drains as base 1 + 1 + 0.5; the remaining 997.5 cycles
     // land on the ROB head's Dcache miss.
-    EXPECT_EQ(a.cycles()[CpiComponent::kBase], 3.5);
-    EXPECT_EQ(a.cycles()[CpiComponent::kDcache], 997.5);
-    EXPECT_EQ(a.accountedCycles(), 1001.0);
+    EXPECT_EQ(a.cycles(stage)[CpiComponent::kBase], 3.5);
+    EXPECT_EQ(a.cycles(stage)[CpiComponent::kDcache], 997.5);
+    EXPECT_EQ(a.cycles(stage).sum(), 1001.0);
 }
 
 }  // namespace
