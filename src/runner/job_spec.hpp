@@ -27,6 +27,9 @@ namespace stackscope::runner {
 /** Measured instructions of a job whose spec names no count. */
 inline constexpr std::uint64_t kDefaultInstrs = 250'000;
 
+/** Most cores one job may simulate, on the CLI and on the wire. */
+inline constexpr unsigned kMaxCores = 1024;
+
 /**
  * Warmup of a job whose spec names none: half the measured count, the
  * paper's fast-forward (§IV). The CLI and the serve wire protocol both

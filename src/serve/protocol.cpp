@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -162,8 +163,11 @@ parseSpec(const obs::JsonValue &spec)
     checkPresetNames(job.workload, job.machine);
 
     const std::uint64_t cores = uintField(spec, "cores", 1);
-    if (cores < 1 || cores > 1024)
-        usageError("'cores' must be in [1, 1024]", "cores");
+    if (cores < 1 || cores > runner::kMaxCores) {
+        usageError("'cores' must be in [1, " +
+                       std::to_string(runner::kMaxCores) + "]",
+                   "cores");
+    }
     job.cores = static_cast<unsigned>(cores);
 
     const std::uint64_t instrs =

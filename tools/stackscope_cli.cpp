@@ -22,7 +22,7 @@
  *   --machine NAME      bdw | knl | skx (default bdw)
  *   --instrs N          measured instructions (default 250000, must be > 0)
  *   --warmup N          warmup instructions (default instrs/2)
- *   --cores N[,N...]    cores sharing an uncore (default 1, must be > 0;
+ *   --cores N[,N...]    cores sharing an uncore (default 1, 1..1024;
  *                       a comma list spans the grid's cores axis in sweep)
  *   --threads N         batch-simulation worker threads (0 = all hardware
  *                       threads; bounds, compare-spec and sweep)
@@ -97,6 +97,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -269,10 +270,16 @@ usage(std::FILE *to, const char *argv0)
     return to == stdout ? 0 : 2;
 }
 
-/** Parse a non-negative integer option value strictly. */
+/**
+ * Parse a non-negative integer option value strictly: a value outside
+ * [@p min_value, @p max_value] is a usage error, never wrapped into a
+ * narrower destination.
+ */
 std::uint64_t
 parseCount(const std::string &flag, const std::string &text,
-           std::uint64_t min_value)
+           std::uint64_t min_value,
+           std::uint64_t max_value =
+               std::numeric_limits<std::uint64_t>::max())
 {
     std::uint64_t out = 0;
     const auto [end, ec] =
@@ -289,7 +296,23 @@ parseCount(const std::string &flag, const std::string &text,
                                   std::to_string(min_value) + ", got " +
                                   text);
     }
+    if (out > max_value) {
+        throw StackscopeError(ErrorCategory::kUsage,
+                              flag + " must be <= " +
+                                  std::to_string(max_value) + ", got " +
+                                  text);
+    }
     return out;
+}
+
+/** parseCount() into an unsigned destination. */
+unsigned
+parseUnsigned(const std::string &flag, const std::string &text,
+              unsigned min_value,
+              unsigned max_value = std::numeric_limits<unsigned>::max())
+{
+    return static_cast<unsigned>(
+        parseCount(flag, text, min_value, max_value));
 }
 
 /** Longest accepted serve --drain-timeout (docs/serving.md). */
@@ -413,7 +436,7 @@ parseArgs(int argc, char **argv, CliOptions &opt)
             opt.cores_list.clear();
             for (const std::string &c : splitList(arg, value())) {
                 opt.cores_list.push_back(
-                    static_cast<unsigned>(parseCount(arg, c, 1)));
+                    parseUnsigned(arg, c, 1, runner::kMaxCores));
             }
             if (opt.command != "sweep" && opt.cores_list.size() != 1) {
                 throw StackscopeError(ErrorCategory::kUsage,
@@ -422,8 +445,7 @@ parseArgs(int argc, char **argv, CliOptions &opt)
             }
             opt.cores = opt.cores_list.front();
         } else if (arg == "--threads") {
-            opt.threads =
-                static_cast<unsigned>(parseCount(arg, value(), 0));
+            opt.threads = parseUnsigned(arg, value(), 0);
         } else if (arg == "--workloads") {
             opt.workloads = splitList(arg, value());
         } else if (arg == "--machines") {
@@ -459,8 +481,7 @@ parseArgs(int argc, char **argv, CliOptions &opt)
         } else if (arg == "--job-timeout") {
             opt.job_timeout = parseReal(arg, value());
         } else if (arg == "--max-retries") {
-            opt.max_retries =
-                static_cast<unsigned>(parseCount(arg, value(), 0));
+            opt.max_retries = parseUnsigned(arg, value(), 0);
         } else if (arg == "--retry-backoff-ms") {
             opt.retry_backoff_ms = parseCount(arg, value(), 0);
         } else if (arg == "--keep-going") {
@@ -485,11 +506,7 @@ parseArgs(int argc, char **argv, CliOptions &opt)
             opt.serve_socket = value();
         } else if (arg == "--tcp") {
             opt.serve_tcp =
-                static_cast<int>(parseCount(arg, value(), 0));
-            if (opt.serve_tcp > 65535) {
-                throw StackscopeError(ErrorCategory::kUsage,
-                                      "--tcp port must be <= 65535");
-            }
+                static_cast<int>(parseCount(arg, value(), 0, 65535));
         } else if (arg == "--cache-mb") {
             opt.cache_mb = parseCount(arg, value(), 1);
         } else if (arg == "--heartbeat-ms") {
