@@ -24,7 +24,7 @@
  *
  * Tie order is accounting-visible (docs/performance.md): the drain order
  * of events completing in the same cycle decides which ROB entries the
- * same-cycle squash walk sees, and the spec-counter accountants consume
+ * same-cycle squash walk sees, and the spec-counter accounting consumes
  * branch-resolution events in drain order. The contract is the total
  * order of WbEvent::operator> — earlier completion first, then smaller
  * sequence number (older instruction) first. The adversarial permutation

@@ -9,7 +9,7 @@
  * Pompougnac et al., which both need time-resolved data). The interval
  * accountant piggy-backs on the per-cycle accounting the core already
  * performs: at every window boundary it records the difference between
- * the accountants' cumulative stacks and the previous snapshot — no
+ * the accountant's cumulative stacks and the previous snapshot — no
  * second accounting pass, no per-cycle work beyond one comparison, in
  * the spirit of the paper's <1% overhead claim (§IV).
  *
@@ -80,7 +80,7 @@ struct IntervalSeries
 };
 
 /**
- * Snapshots a core's accountants at fixed cycle boundaries.
+ * Snapshots a core's stack accountant at fixed cycle boundaries.
  *
  * Usage (mirrors validate::IntervalValidator): after every core cycle,
  * `if (acct.due(core.cycles())) acct.snapshot(core);`; after

@@ -33,7 +33,7 @@ struct SimOptions
     /**
      * Select the per-cycle reference engine instead of the default
      * batched one (CLI `--engine reference`): every cycle ticks the
-     * accountants on its own, with no idle-run fold and no skip-ahead
+     * accountant on its own, with no idle-run fold and no skip-ahead
      * (CoreParams::batched_accounting = false). It is the per-cycle
      * oracle of the bit-identity suite and of bench/simspeed
      * (docs/performance.md).

@@ -1,12 +1,12 @@
 /**
  * @file
- * The per-cycle observation record that the core publishes and all
- * accountants consume.
+ * The per-cycle observation record that the core publishes and the stack
+ * accountant and the pipeline tracer consume.
  *
  * This is the key architectural idea behind "easy to collect" (§III / §IV):
  * the accounting algorithms of Tables II and III only need a handful of
  * per-cycle facts about stage occupancy and blocker status. The core fills
- * one CycleState per cycle; the accountants are pure consumers, so the
+ * one CycleState per cycle; the accountant is a pure consumer, so the
  * whole mechanism can be attached to any cycle-level simulator.
  */
 
@@ -47,7 +47,7 @@ enum class VfpBlame : std::uint8_t
 };
 
 /**
- * Everything the accountants need to know about one core cycle.
+ * Everything the stack accountant needs to know about one core cycle.
  */
 struct CycleState
 {

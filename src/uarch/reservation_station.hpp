@@ -3,7 +3,7 @@
  * Reservation stations (unified issue queue).
  *
  * Holds ROB slots of dispatched-but-not-yet-issued uops in age order. The
- * issue stage scans it oldest-first; the accountants use its occupancy
+ * issue stage scans it oldest-first; the accounting uses its occupancy
  * ("RS empty", "RS full") per Table II.
  *
  * Layout is structure-of-arrays: alongside the age-ordered slot list, the
