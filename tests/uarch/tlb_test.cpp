@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+
+#include "common/rng.hpp"
+#include "reference_lru.hpp"
 #include "uarch/cache_hierarchy.hpp"
 
 namespace stackscope::uarch {
@@ -70,6 +76,50 @@ TEST(Tlb, FlushForgetsEverything)
     (void)tlb.access(0x5000);
     tlb.flush();
     EXPECT_EQ(tlb.access(0x5000), 9u);
+}
+
+/**
+ * Seeded access streams, op by op against a move-to-front model of the
+ * TLB's 8-way sets, with the same hot-set mix as the cache oracle and a
+ * rare flush().
+ */
+TEST(Tlb, MatchesReferenceLru)
+{
+    constexpr std::uint64_t kWays = 8;
+    for (unsigned entries : {16u, 256u, 1024u}) {
+        SCOPED_TRACE(std::to_string(entries) + " entries");
+        TlbParams p = smallTlb();
+        p.entries = entries;
+        Tlb tlb(p);
+        const std::uint64_t sets = std::max<std::uint64_t>(1, entries / kWays);
+        testing::ReferenceLru model(sets, kWays);
+        Rng rng(0x71b000 + entries);
+        std::uint64_t hot[8];
+        for (std::uint64_t &s : hot)
+            s = rng.below(sets);
+
+        std::uint64_t accesses = 0;
+        std::uint64_t misses = 0;
+        for (int op = 0; op < 60'000; ++op) {
+            if (rng.below(10'000) == 0) {
+                tlb.flush();
+                model.clear();
+                continue;
+            }
+            const std::uint64_t set =
+                rng.chance(0.9) ? hot[rng.below(8)] : rng.below(sets);
+            const std::uint64_t page = rng.below(2 * kWays + 1) * sets + set;
+            const bool hit = model.insert(set, page);
+            ++accesses;
+            misses += hit ? 0 : 1;
+            ASSERT_EQ(tlb.access(page * p.page_bytes +
+                                 rng.below(p.page_bytes)),
+                      hit ? 0u : p.miss_latency)
+                << "op " << op;
+        }
+        EXPECT_EQ(tlb.accesses(), accesses);
+        EXPECT_EQ(tlb.misses(), misses);
+    }
 }
 
 TEST(TlbIntegration, WalkDelaysLoad)
