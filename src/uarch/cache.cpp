@@ -4,16 +4,28 @@
 
 namespace stackscope::uarch {
 
-Cache::Cache(const CacheParams &params)
-    : params_(params)
+namespace {
+
+unsigned
+setsOf(const CacheParams &p)
 {
-    assert(params_.line_bytes > 0 && params_.assoc > 0);
-    assert(params_.size_bytes >= params_.line_bytes * params_.assoc);
-    num_sets_ = static_cast<unsigned>(
-        params_.size_bytes / (params_.line_bytes * params_.assoc));
-    assert(num_sets_ > 0);
-    ways_.resize(static_cast<std::size_t>(num_sets_) * params_.assoc);
-    set_clock_.resize(num_sets_, 0);
+    // The tag store keys a line by its number plus one; lines of at least
+    // two bytes keep every key clear of 0, the free-way mark.
+    assert(p.line_bytes >= 2 && p.assoc > 0);
+    assert(p.size_bytes >= p.line_bytes * p.assoc);
+    const auto sets =
+        static_cast<unsigned>(p.size_bytes / (p.line_bytes * p.assoc));
+    assert(sets > 0);
+    return sets;
+}
+
+}  // namespace
+
+Cache::Cache(const CacheParams &params)
+    : params_(params),
+      num_sets_(setsOf(params)),
+      lines_(num_sets_, params.assoc)
+{
     const auto is_pow2 = [](std::uint64_t v) {
         return v != 0 && (v & (v - 1)) == 0;
     };
@@ -30,15 +42,8 @@ Cache::lookup(Addr addr, bool update_lru)
 {
     ++lookups_;
     const Addr line = lineAddr(addr);
-    const unsigned set = setIndex(line);
-    Way *base = &ways_[static_cast<std::size_t>(set) * params_.assoc];
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == line) {
-            if (update_lru)
-                base[w].lru = ++set_clock_[set];
-            return true;
-        }
-    }
+    if (lines_.lookup(setIndex(line), line, update_lru))
+        return true;
     ++misses_;
     return false;
 }
@@ -46,47 +51,22 @@ Cache::lookup(Addr addr, bool update_lru)
 void
 Cache::insert(Addr addr)
 {
+    // A line already present (e.g., a racing prefetch) is just touched.
     const Addr line = lineAddr(addr);
-    const unsigned set = setIndex(line);
-    Way *base = &ways_[static_cast<std::size_t>(set) * params_.assoc];
-    Way *victim = &base[0];
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == line) {
-            // Already present (e.g., racing prefetch): just touch it.
-            base[w].lru = ++set_clock_[set];
-            return;
-        }
-        if (!base[w].valid) {
-            victim = &base[w];
-            break;
-        }
-        if (base[w].lru < victim->lru)
-            victim = &base[w];
-    }
-    victim->tag = line;
-    victim->valid = true;
-    victim->lru = ++set_clock_[set];
+    (void)lines_.insert(setIndex(line), line);
 }
 
 void
 Cache::invalidate(Addr addr)
 {
     const Addr line = lineAddr(addr);
-    const unsigned set = setIndex(line);
-    Way *base = &ways_[static_cast<std::size_t>(set) * params_.assoc];
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == line) {
-            base[w].valid = false;
-            return;
-        }
-    }
+    lines_.erase(setIndex(line), line);
 }
 
 void
 Cache::invalidateAll()
 {
-    for (Way &w : ways_)
-        w.valid = false;
+    lines_.clear();
 }
 
 }  // namespace stackscope::uarch

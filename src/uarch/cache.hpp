@@ -11,9 +11,9 @@
 #define STACKSCOPE_UARCH_CACHE_HPP
 
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hpp"
+#include "uarch/lru_sets.hpp"
 
 namespace stackscope::uarch {
 
@@ -26,7 +26,8 @@ struct CacheParams
 };
 
 /**
- * Tag-only set-associative cache with true-LRU replacement.
+ * Tag-only set-associative cache with true-LRU replacement: one LruSets
+ * store of line numbers.
  */
 class Cache
 {
@@ -40,7 +41,10 @@ class Cache
      */
     bool lookup(Addr addr, bool update_lru = true);
 
-    /** Fill the line containing @p addr, evicting the LRU way if needed. */
+    /**
+     * Fill the line containing @p addr as MRU, evicting the LRU way if
+     * needed; a line already present is only promoted.
+     */
     void insert(Addr addr);
 
     /** Invalidate the line containing @p addr if present. */
@@ -58,13 +62,6 @@ class Cache
     std::uint64_t misses() const { return misses_; }
 
   private:
-    struct Way
-    {
-        Addr tag = 0;
-        bool valid = false;
-        std::uint32_t lru = 0;  ///< lower = older
-    };
-
     Addr
     lineAddr(Addr addr) const
     {
@@ -85,8 +82,7 @@ class Cache
     bool pow2_ = false;
     unsigned line_shift_ = 0;
     Addr set_mask_ = 0;
-    std::vector<Way> ways_;         ///< num_sets_ x assoc, row-major
-    std::vector<std::uint32_t> set_clock_;  ///< per-set LRU clock
+    LruSets lines_;  ///< line numbers, num_sets_ x assoc
     std::uint64_t lookups_ = 0;
     std::uint64_t misses_ = 0;
 };

@@ -6,11 +6,13 @@
 namespace stackscope::uarch {
 
 Tlb::Tlb(const TlbParams &params)
-    : params_(params)
+    : params_(params),
+      num_sets_(std::max(1u, params.entries / kWays)),
+      pages_(num_sets_, kWays)
 {
-    assert(params_.page_bytes > 0);
-    num_sets_ = std::max(1u, params_.entries / kWays);
-    entries_.resize(static_cast<std::size_t>(num_sets_) * kWays);
+    // Pages of at least two bytes keep every tag-store key (page number
+    // plus one) clear of 0, the free-way mark.
+    assert(params_.page_bytes >= 2);
     const auto is_pow2 = [](std::uint64_t v) {
         return v != 0 && (v & (v - 1)) == 0;
     };
@@ -31,33 +33,16 @@ Tlb::access(Addr addr)
     // Shift/mask fast path; see Cache::lineAddr for the rationale.
     const Addr page =
         pow2_ ? addr >> page_shift_ : addr / params_.page_bytes;
-    ++clock_;
-
-    Entry *base = &entries_[static_cast<std::size_t>(
-                                pow2_ ? page & set_mask_
-                                      : page % num_sets_) *
-                            kWays];
-    Entry *victim = base;
-    for (unsigned w = 0; w < kWays; ++w) {
-        if (base[w].page == page) {
-            base[w].stamp = clock_;
-            return 0;
-        }
-        if (base[w].stamp < victim->stamp)
-            victim = &base[w];
-    }
+    if (pages_.insert(pow2_ ? page & set_mask_ : page % num_sets_, page))
+        return 0;
     ++misses_;
-    victim->page = page;
-    victim->stamp = clock_;
     return params_.miss_latency;
 }
 
 void
 Tlb::flush()
 {
-    for (Entry &e : entries_)
-        e = Entry{};
-    clock_ = 0;
+    pages_.clear();
 }
 
 }  // namespace stackscope::uarch

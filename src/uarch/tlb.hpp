@@ -16,9 +16,9 @@
 #define STACKSCOPE_UARCH_TLB_HPP
 
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hpp"
+#include "uarch/lru_sets.hpp"
 
 namespace stackscope::uarch {
 
@@ -52,12 +52,6 @@ class Tlb
     void flush();
 
   private:
-    struct Entry
-    {
-        Addr page = ~Addr{0};
-        std::uint64_t stamp = 0;
-    };
-
     static constexpr unsigned kWays = 8;
 
     TlbParams params_;
@@ -65,8 +59,7 @@ class Tlb
     bool pow2_ = false;  ///< page_bytes and num_sets_ both powers of two
     unsigned page_shift_ = 0;
     Addr set_mask_ = 0;
-    std::vector<Entry> entries_;  ///< num_sets_ x kWays, row-major
-    std::uint64_t clock_ = 0;
+    LruSets pages_;  ///< page numbers, num_sets_ x kWays
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
 };
