@@ -1,6 +1,7 @@
 #include "core/ooo_core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 
@@ -51,7 +52,9 @@ OooCore::OooCore(const CoreParams &params,
       rs_(params.rs_size, params.rob_size),
       fetch_q_(params.fetch_queue_size),
       wp_rng_(params.wrong_path_seed),
-      scoreboard_(kScoreboardSize),
+      scoreboard_(
+          std::bit_ceil(trace::kMaxDepDistance + params.rob_size + 1)),
+      score_mask_(scoreboard_.size() - 1),
       pending_stores_(params.rob_size),
       store_filter_(kStoreFilterSize, 0),
       acct_(accountantConfig(params)),
@@ -62,7 +65,6 @@ OooCore::OooCore(const CoreParams &params,
       skip_allowed_(params.batched_accounting && shared_uncore == nullptr)
 {
     assert(trace_);
-    assert(trace::kMaxDepDistance + params_.rob_size < kScoreboardSize);
     // ScoreEntry::waiters stores ROB slots as uint16_t.
     assert(params_.rob_size <= 0xffff);
     const std::uint64_t line = mem_.params().l1i.line_bytes;
@@ -85,13 +87,13 @@ OooCore::accountant() const
 OooCore::ScoreEntry &
 OooCore::scoreSlot(std::uint64_t trace_index)
 {
-    return scoreboard_[trace_index % kScoreboardSize];
+    return scoreboard_[trace_index & score_mask_];
 }
 
 bool
 OooCore::producerComplete(std::uint64_t trace_index) const
 {
-    const ScoreEntry &se = scoreboard_[trace_index % kScoreboardSize];
+    const ScoreEntry &se = scoreboard_[trace_index & score_mask_];
     if (se.trace_index != trace_index) {
         // The entry has been recycled: the producer left the pipeline long
         // ago (the scoreboard is sized so this is the only possibility).
@@ -103,7 +105,7 @@ OooCore::producerComplete(std::uint64_t trace_index) const
 const OooCore::ScoreEntry *
 OooCore::liveIncompleteProducer(std::uint64_t trace_index) const
 {
-    const ScoreEntry &se = scoreboard_[trace_index % kScoreboardSize];
+    const ScoreEntry &se = scoreboard_[trace_index & score_mask_];
     if (se.trace_index != trace_index || se.complete_at <= now_)
         return nullptr;
     return &se;

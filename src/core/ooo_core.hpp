@@ -261,7 +261,6 @@ class OooCore
         Addr word_addr = 0;
     };
 
-    static constexpr std::uint64_t kScoreboardSize = 4096;
     /**
      * Counting-filter buckets for pending-store word addresses (power of
      * two; collisions only cost a redundant scan, never a missed one).
@@ -290,10 +289,11 @@ class OooCore
     ScoreEntry &scoreSlot(std::uint64_t trace_index);
     bool producerComplete(std::uint64_t trace_index) const;
     /**
-     * The scoreboard entry for @p trace_index iff it is still live (not
-     * recycled after the kScoreboardSize wrap) and not yet complete;
-     * nullptr otherwise. Blame selection must go through this guard — a
-     * recycled entry's is_load/dcache_miss/exec_latency belong to a
+     * The scoreboard entry for @p trace_index iff it still holds that
+     * producer and the producer is not yet complete; nullptr otherwise.
+     * The ring is sized so that no producer a dispatched uop can name has
+     * been recycled; blame selection still goes through this guard, since
+     * a recycled entry's is_load/dcache_miss/exec_latency belong to a
      * long-gone instruction.
      */
     const ScoreEntry *liveIncompleteProducer(std::uint64_t trace_index) const;
@@ -376,7 +376,16 @@ class OooCore
     // Backend bookkeeping. (Per-entry readiness bounds + cached blames
     // live inside rs_, position-parallel with its age-ordered slot list,
     // so the issue walk scans them with SIMD; see reservation_station.hpp.)
+    /**
+     * Dependence scoreboard: a ring indexed by trace index & score_mask_.
+     * Its size is the power of two above kMaxDepDistance + rob_size. A
+     * producer's entry is overwritten only by the uop `size` indices
+     * later, and every reader lies within kMaxDepDistance of its producer
+     * and within rob_size of the youngest dispatched uop, so no reader
+     * ever sees its producer's entry recycled.
+     */
     std::vector<ScoreEntry> scoreboard_;
+    std::uint64_t score_mask_;
     /** RS positions issued this cycle (ascending walk order). */
     std::vector<unsigned> issued_scratch_;
     /**
