@@ -1,6 +1,9 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <utility>
 
 #include "common/error.hpp"
@@ -244,6 +247,23 @@ MetricsRegistry::global()
 std::uint64_t
 peakRssBytes()
 {
+#if defined(__linux__)
+    // VmHWM starts afresh at execve, while getrusage's ru_maxrss keeps the
+    // peak of the image that exec'd this one (a Python launcher, say).
+    if (std::FILE *status = std::fopen("/proc/self/status", "r")) {
+        char line[256];
+        std::uint64_t kib = 0;
+        while (std::fgets(line, sizeof line, status) != nullptr) {
+            if (std::strncmp(line, "VmHWM:", 6) == 0) {
+                kib = std::strtoull(line + 6, nullptr, 10);
+                break;
+            }
+        }
+        std::fclose(status);
+        if (kib != 0)
+            return kib * 1024;
+    }
+#endif
 #if defined(__unix__) || defined(__APPLE__)
     struct rusage usage{};
     if (getrusage(RUSAGE_SELF, &usage) != 0)

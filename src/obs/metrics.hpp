@@ -263,7 +263,10 @@ Gauge::get() const
                             : slot_->load(std::memory_order_relaxed);
 }
 
-/** Peak resident-set size of this process in bytes (0 when unknown). */
+/**
+ * Peak resident-set size of this process image in bytes (0 when unknown):
+ * VmHWM on Linux, which starts afresh at execve, getrusage elsewhere.
+ */
 std::uint64_t peakRssBytes();
 
 }  // namespace stackscope::obs

@@ -224,8 +224,8 @@ TEST(MetricsRegistry, GlobalRegistryCarriesSimulatorMetrics)
 TEST(PeakRss, ReportsSomethingPlausible)
 {
     const std::uint64_t rss = peakRssBytes();
-    // On Linux this comes from getrusage; a running test binary has to
-    // occupy at least a megabyte.
+    // On Linux this comes from /proc/self/status VmHWM; a running test
+    // binary has to occupy at least a megabyte.
     EXPECT_GT(rss, 1u << 20);
 }
 
