@@ -14,6 +14,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -703,14 +704,16 @@ Server::httpConnection(int fd)
     trace->setEndpoint("http:" + path);
 
     // Sole header we honour; names are case-insensitive per RFC 9112.
+    // The name must open a header line, so X-Content-Length is not it.
     std::size_t content_length = 0;
     std::string lower = head;
     for (char &c : lower)
         c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    const std::size_t cl = lower.find("content-length:");
+    constexpr std::string_view kContentLength = "\r\ncontent-length:";
+    const std::size_t cl = lower.find(kContentLength);
     if (cl != std::string::npos)
-        content_length = static_cast<std::size_t>(
-            std::strtoull(head.c_str() + cl + 15, nullptr, 10));
+        content_length = static_cast<std::size_t>(std::strtoull(
+            head.c_str() + cl + kContentLength.size(), nullptr, 10));
     if (content_length > kMaxRequestBytes) {
         trace->setStatus("usage");
         respond(400, "Bad Request",
