@@ -367,54 +367,6 @@ TEST(ServerTest, HttpEndpointsAnswerOnEphemeralPort)
     EXPECT_TRUE(fixture.stop());
 }
 
-// Only a header line that starts with Content-Length sets the body
-// length: an X-Content-Length header before it must not make the daemon
-// wait for 100000 body bytes that never come.
-TEST(ServerTest, HttpBodyLengthIgnoresLookalikeHeaders)
-{
-    ServeOptions opt = smallOptions(tempSocketPath("http-cl"));
-    opt.tcp_port = 0;
-    ServerFixture fixture(opt);
-    const int port = fixture.server().tcpPort();
-    ASSERT_GT(port, 0);
-
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    // A daemon that waits for the phantom body answers nothing: give up
-    // after 10 s instead of hanging the suite.
-    timeval timeout{};
-    timeout.tv_sec = 10;
-    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                           sizeof(timeout)),
-              0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
-    const std::string body = kSmallSpec;
-    EXPECT_TRUE(sendAll(fd, "POST /analyze HTTP/1.1\r\nHost: x\r\n"
-                            "X-Content-Length: 100000\r\nContent-Length: " +
-                                std::to_string(body.size()) + "\r\n\r\n" +
-                                body));
-    std::string response;
-    char buf[65536];
-    for (;;) {
-        const ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            break;
-        response.append(buf, static_cast<std::size_t>(n));
-    }
-    ::close(fd);
-    EXPECT_EQ(response.substr(0, 15), "HTTP/1.1 200 OK");
-    EXPECT_NE(response.find("\"report\":"), std::string::npos);
-    EXPECT_TRUE(fixture.stop());
-}
-
 std::string
 httpBody(const std::string &response)
 {
@@ -429,6 +381,12 @@ httpExchange(int port, const std::string &request)
 {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd, 0);
+    // A daemon that never answers fails the test instead of hanging it.
+    timeval timeout{};
+    timeout.tv_sec = 10;
+    EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<std::uint16_t>(port));
@@ -449,6 +407,26 @@ httpExchange(int port, const std::string &request)
     }
     ::close(fd);
     return response;
+}
+
+// Only a header line that starts with Content-Length sets the body
+// length: an X-Content-Length header before it must not make the daemon
+// wait for 100000 body bytes that never come.
+TEST(ServerTest, HttpBodyLengthIgnoresLookalikeHeaders)
+{
+    ServeOptions opt = smallOptions(tempSocketPath("http-cl"));
+    opt.tcp_port = 0;
+    ServerFixture fixture(opt);
+    const int port = fixture.server().tcpPort();
+    ASSERT_GT(port, 0);
+    const std::string body = kSmallSpec;
+    const std::string response = httpExchange(
+        port, "POST /analyze HTTP/1.1\r\nHost: x\r\n"
+              "X-Content-Length: 100000\r\nContent-Length: " +
+                  std::to_string(body.size()) + "\r\n\r\n" + body);
+    EXPECT_EQ(response.substr(0, 15), "HTTP/1.1 200 OK");
+    EXPECT_NE(response.find("\"report\":"), std::string::npos);
+    EXPECT_TRUE(fixture.stop());
 }
 
 TEST(ServerTest, TracezShowsColdVersusHitSpanShapes)
