@@ -1,7 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -12,10 +12,8 @@
 #include "sim/multicore.hpp"
 #include "sim/presets.hpp"
 #include "sim/simulation.hpp"
-#include "stacks/speculation.hpp"
 #include "trace/synthetic_generator.hpp"
 #include "trace/workload_library.hpp"
-#include "validate/invariants.hpp"
 
 namespace stackscope::serve {
 
@@ -53,33 +51,6 @@ requireString(const obs::JsonValue &object, const std::string &key)
     return v->string;
 }
 
-/** Integral, non-negative, exactly representable in a double. */
-std::uint64_t
-uintField(const obs::JsonValue &object, const std::string &key,
-          std::uint64_t fallback)
-{
-    const obs::JsonValue *v = object.find(key);
-    if (v == nullptr)
-        return fallback;
-    if (!v->isNumber() || v->number < 0 ||
-        v->number != std::floor(v->number) || v->number > 9.007199254740992e15)
-        usageError("'" + key + "' must be a non-negative integer", key);
-    return static_cast<std::uint64_t>(v->number);
-}
-
-double
-numberField(const obs::JsonValue &object, const std::string &key,
-            double fallback)
-{
-    const obs::JsonValue *v = object.find(key);
-    if (v == nullptr)
-        return fallback;
-    if (!v->isNumber() || !std::isfinite(v->number) || v->number < 0)
-        usageError("'" + key + "' must be a finite non-negative number",
-                   key);
-    return v->number;
-}
-
 /** @p w's document plus the frame's terminating newline, moved out of
  *  the writer rather than copied. */
 std::string
@@ -113,6 +84,24 @@ checkPresetNames(const std::string &workload, const std::string &machine)
     } catch (const std::out_of_range &e) {
         throw StackscopeError(ErrorCategory::kUsage, e.what());
     }
+}
+
+/** Point @p given at @p value, the member @p key of the spec (or of its
+ *  "options" when @p in_options); the first of repeated keys wins. */
+void
+takeMember(std::array<const obs::JsonValue *, runner::kJobFieldCount> &given,
+           const std::string &key, const obs::JsonValue &value,
+           bool in_options)
+{
+    for (std::size_t i = 0; i < runner::kJobFieldCount; ++i) {
+        const runner::JobField &f = runner::kJobFields[i];
+        if (f.key == key && f.in_options == in_options) {
+            if (given[i] == nullptr)
+                given[i] = &value;
+            return;
+        }
+    }
+    usageError("unknown key '" + key + "'", in_options ? "options" : "spec");
 }
 
 }  // namespace
@@ -153,79 +142,33 @@ parseRequest(std::string_view line)
 runner::JobSpec
 parseSpec(const obs::JsonValue &spec)
 {
-    checkKeys(spec, {"workload", "machine", "cores", "instrs", "warmup",
-                     "options"},
-              "spec");
-
-    runner::JobSpec job;
-    job.workload = requireString(spec, "workload");
-    job.machine = requireString(spec, "machine");
-    checkPresetNames(job.workload, job.machine);
-
-    const std::uint64_t cores = uintField(spec, "cores", 1);
-    if (cores < 1 || cores > runner::kMaxCores) {
-        usageError("'cores' must be in [1, " +
-                       std::to_string(runner::kMaxCores) + "]",
-                   "cores");
+    std::array<const obs::JsonValue *, runner::kJobFieldCount> given{};
+    const obs::JsonValue *options = nullptr;
+    for (const auto &[key, value] : spec.object) {
+        if (key != "options")
+            takeMember(given, key, value, false);
+        else if (options == nullptr)
+            options = &value;
     }
-    job.cores = static_cast<unsigned>(cores);
-
-    const std::uint64_t instrs =
-        uintField(spec, "instrs", runner::kDefaultInstrs);
-    if (instrs < 1)
-        usageError("'instrs' must be at least 1", "instrs");
-    // JobSpec::instrs is the total the generator runs (measured+warmup),
-    // as the CLI builds it, so wire specs hash identically to equivalent
-    // CLI invocations.
-    const std::uint64_t warmup =
-        uintField(spec, "warmup", runner::defaultWarmup(instrs));
-    job.instrs = instrs + warmup;
-
-    sim::SimOptions &so = job.options;
-    so.warmup_instrs = warmup;
-    const obs::JsonValue *options = spec.find("options");
     if (options != nullptr) {
         if (!options->isObject())
             usageError("'options' must be an object", "options");
-        checkKeys(*options,
-                  {"spec_mode", "engine", "validate", "max_cycles",
-                   "watchdog_cycles", "deadline_cycles",
-                   "job_timeout_seconds", "interval_cycles"},
-                  "options");
-        if (const obs::JsonValue *v = options->find("spec_mode")) {
-            if (!v->isString())
-                usageError("'spec_mode' must be a string", "spec_mode");
-            const auto mode = stacks::parseSpeculationMode(v->string);
-            if (!mode) {
-                usageError("unknown spec_mode '" + v->string +
-                               "' (oracle|simple|spec-counters)",
-                           "spec_mode");
-            }
-            so.spec_mode = *mode;
-        }
-        if (const obs::JsonValue *v = options->find("engine")) {
-            if (!v->isString() ||
-                (v->string != "batched" && v->string != "reference"))
-                usageError("'engine' must be \"batched\" or \"reference\"",
-                           "engine");
-            so.reference_engine = v->string == "reference";
-        }
-        if (const obs::JsonValue *v = options->find("validate")) {
-            const auto policy =
-                v->isString() ? validate::parsePolicy(v->string)
-                              : std::nullopt;
-            if (!policy)
-                usageError("'validate' must be off|warn|strict", "validate");
-            so.validation = *policy;
-        }
-        so.max_cycles = uintField(*options, "max_cycles", 0);
-        so.watchdog_cycles = uintField(*options, "watchdog_cycles", 0);
-        so.deadline_cycles = uintField(*options, "deadline_cycles", 0);
-        so.job_timeout_seconds =
-            numberField(*options, "job_timeout_seconds", 0.0);
-        so.obs.interval_cycles = uintField(*options, "interval_cycles", 0);
+        for (const auto &[key, value] : options->object)
+            takeMember(given, key, value, true);
     }
-    sim::checkObsOptions(so);
+
+    static const obs::JsonValue kAbsent;
+    runner::JobSpec job = runner::defaultJobSpec();
+    for (std::size_t i = 0; i < runner::kJobFieldCount; ++i) {
+        const runner::JobField &f = runner::kJobFields[i];
+        if (given[i] != nullptr || f.required) {
+            f.set(job, runner::decodeJson(f.type, f.key,
+                                          given[i] ? *given[i] : kAbsent));
+        }
+    }
+    checkPresetNames(job.workload, job.machine);
+    runner::addWarmup(job);
+    sim::checkObsOptions(job.options);
     return job;
 }
 

@@ -62,12 +62,10 @@ struct Request
 Request parseRequest(std::string_view line);
 
 /**
- * Validate a wire job spec against the documented schema and resolve it
- * to the canonical runner::JobSpec. Strict: unknown keys, unknown
- * workload/machine names, non-integral or out-of-range numbers all
- * throw StackscopeError(kUsage). Defaults mirror the CLI `run`
- * command: instrs 250000, warmup instrs/2, oracle speculation, batched
- * engine, validation off.
+ * Decode a wire job spec through runner::kJobFields, the field table the
+ * CLI decodes its flags through, into the canonical runner::JobSpec.
+ * Strict: unknown keys, unknown workload/machine names and values a
+ * field does not accept all throw StackscopeError(kUsage).
  *
  * Note JobSpec::instrs is the *total* instruction count
  * (measured + warmup), matching the CLI/sweep convention, so wire specs

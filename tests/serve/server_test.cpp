@@ -304,77 +304,6 @@ TEST(ServerTest, ConcurrentClientsShareOneSimulation)
     EXPECT_TRUE(fixture.stop());
 }
 
-TEST(ServerTest, HttpEndpointsAnswerOnEphemeralPort)
-{
-    ServeOptions opt = smallOptions(tempSocketPath("http"));
-    opt.tcp_port = 0;  // ephemeral
-    ServerFixture fixture(opt);
-    const int port = fixture.server().tcpPort();
-    ASSERT_GT(port, 0);
-
-    auto httpRequest = [&](const std::string &request) {
-        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        EXPECT_GE(fd, 0);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<std::uint16_t>(port));
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        EXPECT_EQ(::connect(fd,
-                            reinterpret_cast<const sockaddr *>(&addr),
-                            sizeof(addr)),
-                  0);
-        EXPECT_TRUE(sendAll(fd, request));
-        // Connection: close — read to EOF.
-        std::string response;
-        char buf[65536];
-        for (;;) {
-            const ssize_t n = ::read(fd, buf, sizeof(buf));
-            if (n < 0 && errno == EINTR)
-                continue;
-            if (n <= 0)
-                break;
-            response.append(buf, static_cast<std::size_t>(n));
-        }
-        ::close(fd);
-        return response;
-    };
-
-    const std::string health =
-        httpRequest("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
-    EXPECT_EQ(health.substr(0, 15), "HTTP/1.1 200 OK");
-
-    const std::string body = kSmallSpec;
-    const std::string analyzed = httpRequest(
-        "POST /analyze HTTP/1.1\r\nHost: x\r\nContent-Length: " +
-        std::to_string(body.size()) + "\r\n\r\n" + body);
-    EXPECT_EQ(analyzed.substr(0, 15), "HTTP/1.1 200 OK");
-    EXPECT_NE(analyzed.find("\"report\":"), std::string::npos);
-
-    const std::string status =
-        httpRequest("GET /statusz HTTP/1.1\r\nHost: x\r\n\r\n");
-    EXPECT_EQ(status.substr(0, 15), "HTTP/1.1 200 OK");
-    EXPECT_NE(status.find("\"cache\":"), std::string::npos);
-
-    // Bad spec → 400, unknown path → 404; the daemon shrugs both off.
-    const std::string bad = httpRequest(
-        "POST /analyze HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n"
-        "\r\n{}");
-    EXPECT_EQ(bad.substr(0, 12), "HTTP/1.1 400");
-    const std::string lost =
-        httpRequest("GET /nope HTTP/1.1\r\nHost: x\r\n\r\n");
-    EXPECT_EQ(lost.substr(0, 12), "HTTP/1.1 404");
-
-    EXPECT_TRUE(fixture.stop());
-}
-
-std::string
-httpBody(const std::string &response)
-{
-    const std::size_t pos = response.find("\r\n\r\n");
-    return pos == std::string::npos ? std::string()
-                                    : response.substr(pos + 4);
-}
-
 /** One-shot loopback HTTP exchange: send @p request, read to EOF. */
 std::string
 httpExchange(int port, const std::string &request)
@@ -409,24 +338,61 @@ httpExchange(int port, const std::string &request)
     return response;
 }
 
-// Only a header line that starts with Content-Length sets the body
-// length: an X-Content-Length header before it must not make the daemon
-// wait for 100000 body bytes that never come.
-TEST(ServerTest, HttpBodyLengthIgnoresLookalikeHeaders)
+TEST(ServerTest, HttpEndpointsAnswerOnEphemeralPort)
 {
-    ServeOptions opt = smallOptions(tempSocketPath("http-cl"));
-    opt.tcp_port = 0;
+    ServeOptions opt = smallOptions(tempSocketPath("http"));
+    opt.tcp_port = 0;  // ephemeral
     ServerFixture fixture(opt);
     const int port = fixture.server().tcpPort();
     ASSERT_GT(port, 0);
+
+    const auto httpRequest = [&](const std::string &request) {
+        return httpExchange(port, request);
+    };
+
+    const std::string health =
+        httpRequest("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    EXPECT_EQ(health.substr(0, 15), "HTTP/1.1 200 OK");
+
     const std::string body = kSmallSpec;
-    const std::string response = httpExchange(
-        port, "POST /analyze HTTP/1.1\r\nHost: x\r\n"
-              "X-Content-Length: 100000\r\nContent-Length: " +
-                  std::to_string(body.size()) + "\r\n\r\n" + body);
-    EXPECT_EQ(response.substr(0, 15), "HTTP/1.1 200 OK");
-    EXPECT_NE(response.find("\"report\":"), std::string::npos);
+    const std::string analyzed = httpRequest(
+        "POST /analyze HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+        std::to_string(body.size()) + "\r\n\r\n" + body);
+    EXPECT_EQ(analyzed.substr(0, 15), "HTTP/1.1 200 OK");
+    EXPECT_NE(analyzed.find("\"report\":"), std::string::npos);
+    // Only a header line that starts with Content-Length sets the body
+    // length: an X-Content-Length header before it must not make the
+    // daemon wait for 100000 body bytes that never come.
+    const std::string lookalike = httpRequest(
+        "POST /analyze HTTP/1.1\r\nHost: x\r\nX-Content-Length: 100000"
+        "\r\nContent-Length: " +
+        std::to_string(body.size()) + "\r\n\r\n" + body);
+    EXPECT_EQ(lookalike.substr(0, 15), "HTTP/1.1 200 OK");
+    EXPECT_NE(lookalike.find("\"report\":"), std::string::npos);
+
+    const std::string status =
+        httpRequest("GET /statusz HTTP/1.1\r\nHost: x\r\n\r\n");
+    EXPECT_EQ(status.substr(0, 15), "HTTP/1.1 200 OK");
+    EXPECT_NE(status.find("\"cache\":"), std::string::npos);
+
+    // Bad spec → 400, unknown path → 404; the daemon shrugs both off.
+    const std::string bad = httpRequest(
+        "POST /analyze HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n"
+        "\r\n{}");
+    EXPECT_EQ(bad.substr(0, 12), "HTTP/1.1 400");
+    const std::string lost =
+        httpRequest("GET /nope HTTP/1.1\r\nHost: x\r\n\r\n");
+    EXPECT_EQ(lost.substr(0, 12), "HTTP/1.1 404");
+
     EXPECT_TRUE(fixture.stop());
+}
+
+std::string
+httpBody(const std::string &response)
+{
+    const std::size_t pos = response.find("\r\n\r\n");
+    return pos == std::string::npos ? std::string()
+                                    : response.substr(pos + 4);
 }
 
 TEST(ServerTest, TracezShowsColdVersusHitSpanShapes)

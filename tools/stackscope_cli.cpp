@@ -4,95 +4,16 @@
  * print (or export) multi-stage CPI stacks, FLOPS stacks, idealization
  * bounds and speculation-mode comparisons without writing C++.
  *
- * Subcommands:
- *   list                     enumerate workloads, machines and HPC kernels
- *   run     [options]        single- or multi-core run with all stacks
- *   bounds  [options]        multi-stage bounds vs measured idealizations
- *   hpc     [options]        FLOPS stack analysis of a DeepBench kernel
- *   compare-spec [options]   oracle / simple / spec-counter stacks
- *   sweep   [options]        workload x machine x cores grid, CSV output
- *   phases  [options]        interval stack time-series heatmaps
- *   diff-report A B          compare two run reports as a regression gate
- *   serve   [options]        resident analysis daemon with a result cache
- *                            (wire protocol in docs/serving.md)
+ * Each command is declared once in kCommands and each option once, in
+ * runner::kJobFields (the options a serve job spec shares) or kFlags,
+ * with the commands that read it; `stackscope help` prints both tables.
  *
- * Common options:
- *   --workload NAME     workload preset (default mcf)
- *   --kernel NAME       HPC kernel (hpc subcommand; default conv_fwd_0)
- *   --machine NAME      bdw | knl | skx (default bdw)
- *   --instrs N          measured instructions (default 250000, must be > 0)
- *   --warmup N          warmup instructions (default instrs/2)
- *   --cores N[,N...]    cores sharing an uncore (default 1, 1..1024;
- *                       a comma list spans the grid's cores axis in sweep)
- *   --threads N         batch-simulation worker threads (0 = all hardware
- *                       threads; bounds, compare-spec and sweep)
- *   --workloads A,B,..  sweep workload axis (default mcf,gcc,bwaves)
- *   --machines A,B,..   sweep machine axis (default bdw,knl,skx)
- *   --csv               machine-readable output
- *   --engine E          batched (default) | reference accounting engine
- *                       (docs/performance.md)
- *   --validate MODE     off | warn | strict runtime invariant checking
- *   --inject-fault F    deterministic fault KIND[:SEED] (see usage)
- *   --watchdog-cycles N abort after N cycles without a commit (0 = off)
- *   --job-cycles N      per-job simulated-cycle budget (0 = off); a job
- *                       exceeding it fails with a watchdog error
- *   --job-timeout SECS  per-job wall-clock deadline (0 = off)
- *   --intervals N       snapshot stacks every N measured cycles
- *                       (phases defaults to 1000; 0 disables)
- *   --trace-out FILE    write a Chrome trace-event JSON pipeline trace
- *                       (run, hpc and phases)
- *   --report-out FILE   write the machine-readable JSON run report
- *                       (schema in docs/formats.md)
- *   --no-host-metrics   omit the host_metrics section from the report
- *                       (host_metrics: null), making the report fully
- *                       deterministic — what the serve cache's
- *                       byte-identity guarantee compares against
- *   --perfect-icache --perfect-dcache --perfect-bpred --ideal-alu
- *
- * serve options (docs/serving.md):
- *   --socket PATH       Unix-domain socket to listen on
- *   --tcp PORT          loopback HTTP/1.1 port (0 = ephemeral)
- *   --cache-mb N        result-cache byte budget in MiB (default 64)
- *   --heartbeat-ms N    progress-frame period (default 500)
- *   --drain-timeout SECS  shutdown grace period (default 30, at most
- *                       86400)
- *   --slow-ms MS        warn-log the full span breakdown for requests
- *                       slower than MS wall milliseconds (0 = off)
- *   --slo-ms MS         rolling-window latency objective surfaced in
- *                       /statusz "slo" (default 50)
- *   --trace-capacity N  finished traces kept for GET /tracez
- *                       (default 256)
- *
- * sweep resilience options (docs/formats.md, docs/exit_codes.md):
- *   --max-retries N     retry a retryably-failing job up to N times
- *   --retry-backoff-ms N  first-retry backoff delay (doubles per retry)
- *   --keep-going        quarantine failed jobs, finish the rest, exit 5
- *   --fault-job SUBSTR  inject the fault only into grid points whose
- *                       label contains SUBSTR
- *   --journal FILE      record completed points to a crash-safe journal
- *   --resume FILE       resume a sweep: replay journaled points
- *                       byte-for-byte, simulate only what is missing
- *
- * diff-report options:
- *   --tol-abs X         absolute stack-delta tolerance (default 1e-6)
- *   --tol-rel X         relative stack-delta tolerance (default 0.01)
- *   --watch M[:ABS[:REL]]  gate on host metric M too (repeatable)
- *
- * Environment: STACKSCOPE_LOG=trace|debug|info|warn|error|off (default
- * warn), STACKSCOPE_LOG_JSON=1 for JSON-lines records, and
- * STACKSCOPE_PROGRESS=0|1 to override the isatty(stderr) heartbeat
- * default (docs/observability.md).
- *
- * Exit codes (full contract in docs/exit_codes.md): 0 success,
- * 1 runtime/internal failure, 2 usage or configuration error,
- * 3 validation or watchdog failure, 4 diff-report regression,
- * 5 partial batch success (--keep-going), 6 total batch failure,
- * 7 serve bind failure (port/socket in use), 8 serve drain timeout.
+ * Environment: STACKSCOPE_LOG, STACKSCOPE_LOG_JSON and STACKSCOPE_PROGRESS
+ * (docs/observability.md). Exit codes: docs/exit_codes.md.
  */
 
-#include <charconv>
+#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -130,211 +51,262 @@ namespace {
 using namespace stackscope;
 using stacks::CpiComponent;
 using stacks::Stage;
+using runner::FieldKind;
+using runner::FieldType;
+using runner::FieldValue;
+using std::chrono::milliseconds;
+
+struct Command
+{
+    std::string_view name;
+    std::string_view help;
+};
+
+constexpr Command kCommands[] = {
+    {"list", "enumerate workloads, machines and HPC kernels"},
+    {"run", "single- or multi-core run with all stacks"},
+    {"bounds", "multi-stage bounds vs measured idealizations"},
+    {"hpc", "FLOPS stack analysis of a DeepBench kernel"},
+    {"compare-spec", "oracle / simple / spec-counters dispatch stacks"},
+    {"sweep", "workload x machine x cores grid, CSV output"},
+    {"phases", "interval stack time-series heatmaps"},
+    {"diff-report", "A B: compare two reports, exit 4 on a regression"},
+    {"serve", "resident analysis daemon with a result cache "
+              "(docs/serving.md)"},
+    {"help", "print this text"},
+};
 
 struct CliOptions
 {
-    std::string command = "help";
-    std::string workload = "mcf";
-    std::string kernel = "conv_fwd_0";
-    std::string machine = "bdw";
-    std::uint64_t instrs = runner::kDefaultInstrs;
-    /** Unset means runner::defaultWarmup(instrs). */
-    std::optional<std::uint64_t> warmup{};
-    unsigned cores = 1;
-    /** The sweep grid's cores axis; non-sweep commands require size 1. */
-    std::vector<unsigned> cores_list = {1};
+    std::string command;
+    /** The job the simulating commands run (sweep: its base point). */
+    runner::JobSpec job;
+    std::string kernel;
+    /** The sweep grid's cores axis; other commands take one --cores. */
+    std::vector<unsigned> cores_list;
     /** Batch-runner worker threads; 0 = all hardware threads. */
     unsigned threads = 0;
     /** Sweep axes. */
-    std::vector<std::string> workloads = {"mcf", "gcc", "bwaves"};
-    std::vector<std::string> machines = {"bdw", "knl", "skx"};
+    std::vector<std::string> workloads;
+    std::vector<std::string> machines;
     bool csv = false;
-    /** Accounting engine: per-cycle reference instead of batched. */
-    bool reference_engine = false;
     sim::Idealization ideal{};
-    validate::ValidationPolicy validation = validate::ValidationPolicy::kOff;
-    std::optional<validate::FaultSpec> fault{};
-    std::optional<Cycle> watchdog_cycles{};
-    /** Per-job simulated-cycle budget; 0 = off. */
-    Cycle job_cycles = 0;
-    /** Per-job wall-clock deadline in seconds; 0 = off. */
-    double job_timeout = 0.0;
-    /** Sweep resilience: bounded retries, quarantine, journaling. */
-    unsigned max_retries = 0;
-    std::optional<std::uint64_t> retry_backoff_ms{};
-    bool keep_going = false;
+    runner::BatchOptions batch{};
     /** Restrict --inject-fault to labels containing this substring. */
     std::string fault_job;
     std::string journal_path;
     std::string resume_path;
-    /** Unset means command default: 1000 for phases, off elsewhere. */
-    std::optional<Cycle> intervals{};
     std::string trace_out;
     std::string report_out;
     /** Omit host_metrics from reports, keeping them byte-deterministic. */
     bool no_host_metrics = false;
-    /** serve: Unix-domain socket path (empty = no UDS listener). */
-    std::string serve_socket;
-    /** serve: loopback HTTP port (-1 = no TCP, 0 = ephemeral). */
-    int serve_tcp = -1;
-    /** serve: result-cache budget in MiB. */
-    std::uint64_t cache_mb = 64;
-    /** serve: progress-frame period. */
-    std::uint64_t heartbeat_ms = 500;
-    /** serve: shutdown grace period in seconds. */
-    double drain_timeout = 30.0;
-    /** serve: warn-log span breakdown above this wall time (0 = off). */
-    double slow_ms = 0.0;
-    /** serve: rolling-window latency objective for /statusz "slo". */
-    double slo_ms = 50.0;
-    /** serve: finished traces retained for GET /tracez. */
-    std::uint64_t trace_capacity = 256;
+    serve::ServeOptions serve{};
     /** diff-report: the two report paths. */
     std::vector<std::string> positionals;
     obs::DiffTolerance diff_tol{};
+    std::vector<std::string> watch_texts;
     std::vector<obs::WatchSpec> watches;
-
-    std::uint64_t
-    warmupInstrs() const
-    {
-        return warmup.value_or(runner::defaultWarmup(instrs));
-    }
-    std::uint64_t totalInstrs() const { return instrs + warmupInstrs(); }
 };
-
-constexpr const char *kCommands =
-    "list|run|bounds|hpc|compare-spec|sweep|phases|diff-report|serve|help";
 
 /** Split "a,b,c" into its non-empty elements. */
 std::vector<std::string>
-splitList(const std::string &flag, const std::string &text)
+splitList(std::string_view flag, std::string_view text)
 {
     std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= text.size()) {
+    for (std::size_t start = 0; start <= text.size();) {
         const std::size_t comma = text.find(',', start);
-        const std::string item =
-            text.substr(start, comma == std::string::npos ? std::string::npos
-                                                          : comma - start);
-        if (!item.empty())
-            out.push_back(item);
-        if (comma == std::string::npos)
+        if (comma != start && start < text.size())
+            out.emplace_back(text.substr(start, comma - start));
+        if (comma == std::string_view::npos)
             break;
         start = comma + 1;
     }
     if (out.empty()) {
         throw StackscopeError(ErrorCategory::kUsage,
-                              "value for " + flag +
+                              "value for --" + std::string(flag) +
                                   " must be a non-empty comma list, got '" +
-                                  text + "'");
+                                  std::string(text) + "'");
     }
     return out;
+}
+
+using runner::count;
+using runner::kReal;
+using runner::kSwitch;
+using runner::kText;
+
+constexpr double kMaxUnsigned = std::numeric_limits<unsigned>::max();
+constexpr const char *kSimCommands =
+    "run bounds hpc compare-spec sweep phases";
+
+/** One CLI-only option; the options a job spec shares live in
+ *  runner::kJobFields. */
+struct Flag
+{
+    std::string_view name;
+    /** The commands that read it, separated by spaces. */
+    std::string_view commands;
+    FieldType type;
+    /** Placeholder of the value in help text. */
+    std::string_view arg;
+    /** Value text used when the flag is absent; empty for none. */
+    std::string_view fallback;
+    std::string_view help;
+    void (*set)(CliOptions &, const FieldValue &);
+};
+
+const Flag kFlags[] = {
+    {"kernel", "hpc", kText, "NAME", "conv_fwd_0",
+     "HPC kernel (`stackscope list`)",
+     [](auto &o, auto &v) { o.kernel = v.text; }},
+    {"threads", "bounds compare-spec sweep serve", count(0, kMaxUnsigned),
+     "N", "0", "worker threads; 0 = all hardware threads",
+     [](auto &o, auto &v) { o.threads = static_cast<unsigned>(v.count); }},
+    {"workloads", "sweep", kText, "A,B,...", "mcf,gcc,bwaves",
+     "the grid's workload axis",
+     [](auto &o, auto &v) { o.workloads = splitList("workloads", v.text); }},
+    {"machines", "sweep", kText, "A,B,...", "bdw,knl,skx",
+     "the grid's machine axis",
+     [](auto &o, auto &v) { o.machines = splitList("machines", v.text); }},
+    {"csv", "run bounds hpc", kSwitch, "", "", "machine-readable output",
+     [](auto &o, auto &) { o.csv = true; }},
+    {"inject-fault", kSimCommands, kText, "KIND[:SEED]", "",
+     "deterministic fault (kinds below); without --watchdog-cycles it "
+     "also sets a 200000-cycle watchdog",
+     [](auto &o, auto &v) {
+         o.job.options.fault = validate::parseFaultSpec(v.text).value();
+     }},
+    {"max-retries", "sweep", count(0, kMaxUnsigned), "N", "0",
+     "retry a retryably-failing job up to N times",
+     [](auto &o, auto &v) {
+         o.batch.retry.max_retries = static_cast<unsigned>(v.count);
+     }},
+    {"retry-backoff-ms", "sweep", count(0), "N", "50",
+     "first-retry backoff delay, doubling per retry",
+     [](auto &o, auto &v) { o.batch.retry.backoff = milliseconds(v.count); }},
+    {"keep-going", "sweep", kSwitch, "", "",
+     "quarantine failed jobs and finish the rest (exit 5 partial, 6 total "
+     "failure)",
+     [](auto &o, auto &) { o.batch.keep_going = true; }},
+    {"fault-job", "sweep", kText, "SUBSTR", "",
+     "inject the fault only into points whose label contains SUBSTR",
+     [](auto &o, auto &v) { o.fault_job = v.text; }},
+    {"journal", "sweep", kText, "FILE", "",
+     "record completed points to a crash-safe journal",
+     [](auto &o, auto &v) { o.journal_path = v.text; }},
+    {"resume", "sweep", kText, "FILE", "",
+     "replay a journal's points byte for byte, simulate the rest",
+     [](auto &o, auto &v) { o.resume_path = v.text; }},
+    {"trace-out", "run hpc phases", kText, "FILE", "",
+     "write a Chrome trace-event JSON pipeline trace",
+     [](auto &o, auto &v) { o.trace_out = v.text; }},
+    {"report-out", kSimCommands, kText, "FILE", "",
+     "write the JSON run report (docs/formats.md)",
+     [](auto &o, auto &v) { o.report_out = v.text; }},
+    {"no-host-metrics", kSimCommands, kSwitch, "", "",
+     "report host_metrics as null, making the report deterministic",
+     [](auto &o, auto &) { o.no_host_metrics = true; }},
+    {"socket", "serve", kText, "PATH", "", "Unix-domain socket to listen on",
+     [](auto &o, auto &v) { o.serve.socket_path = v.text; }},
+    {"tcp", "serve", count(0, 65'535), "PORT", "",
+     "loopback HTTP/1.1 port; 0 = ephemeral",
+     [](auto &o, auto &v) { o.serve.tcp_port = static_cast<int>(v.count); }},
+    {"cache-mb", "serve", count(1), "N", "64", "result-cache budget in MiB",
+     [](auto &o, auto &v) { o.serve.cache_bytes = std::size_t(v.count) << 20; }},
+    {"heartbeat-ms", "serve", count(1), "N", "500", "progress-frame period",
+     [](auto &o, auto &v) { o.serve.heartbeat = milliseconds(v.count); }},
+    // Capped so that the conversion to integer milliseconds cannot
+    // overflow.
+    {"drain-timeout", "serve", {FieldKind::kReal, 0.0, 86'400.0}, "SECS",
+     "30", "shutdown grace period (exit 8 past it)",
+     [](auto &o, auto &v) {
+         o.serve.drain_timeout = milliseconds(std::uint64_t(v.real * 1000.0));
+     }},
+    {"slow-ms", "serve", kReal, "MS", "0",
+     "warn-log the span breakdown of requests slower than MS; 0 = off",
+     [](auto &o, auto &v) { o.serve.slow_ms = v.real; }},
+    {"slo-ms", "serve", {FieldKind::kReal, 0.0, kReal.max, true}, "MS", "50",
+     "latency objective of the /statusz \"slo\" window",
+     [](auto &o, auto &v) { o.serve.slo_ms = v.real; }},
+    {"trace-capacity", "serve", count(1), "N", "256",
+     "finished request traces kept for GET /tracez",
+     [](auto &o, auto &v) { o.serve.trace_capacity = v.count; }},
+    {"tol-abs", "diff-report", kReal, "X", "1e-6",
+     "absolute stack-delta tolerance",
+     [](auto &o, auto &v) { o.diff_tol.abs = v.real; }},
+    {"tol-rel", "diff-report", kReal, "X", "0.01",
+     "relative stack-delta tolerance",
+     [](auto &o, auto &v) { o.diff_tol.rel = v.real; }},
+    {"watch", "diff-report", kText, "M[:ABS[:REL]]", "",
+     "gate on host metric M too (repeatable; tolerances default to --tol-*)",
+     [](auto &o, auto &v) { o.watch_texts.emplace_back(v.text); }},
+    {"perfect-icache", "run hpc phases", kSwitch, "", "",
+     "idealize the instruction cache",
+     [](auto &o, auto &) { o.ideal.perfect_icache = true; }},
+    {"perfect-dcache", "run hpc phases", kSwitch, "", "",
+     "idealize the data cache",
+     [](auto &o, auto &) { o.ideal.perfect_dcache = true; }},
+    {"perfect-bpred", "run hpc phases", kSwitch, "", "",
+     "idealize the branch predictor",
+     [](auto &o, auto &) { o.ideal.perfect_bpred = true; }},
+    {"ideal-alu", "run hpc phases", kSwitch, "", "",
+     "make every ALU operation single-cycle",
+     [](auto &o, auto &) { o.ideal.single_cycle_alu = true; }},
+};
+
+/** Whether @p command is one of the space-separated @p commands. */
+bool
+reads(std::string_view commands, std::string_view command)
+{
+    for (std::size_t start = 0; start <= commands.size();) {
+        const std::size_t space = commands.find(' ', start);
+        if (commands.substr(start, space - start) == command)
+            return true;
+        if (space == std::string_view::npos)
+            return false;
+        start = space + 1;
+    }
+    return false;
+}
+
+void
+printOption(std::FILE *to, std::string_view flag, std::string_view arg,
+            std::string_view fallback, std::string_view commands,
+            std::string_view help)
+{
+    const std::string head =
+        "--" + std::string(flag) + (arg.empty() ? "" : " ") + std::string(arg);
+    std::fprintf(to, "  %-26s %.*s", head.c_str(),
+                 static_cast<int>(help.size()), help.data());
+    if (!fallback.empty())
+        std::fprintf(to, " (default %.*s)", static_cast<int>(fallback.size()),
+                     fallback.data());
+    std::fprintf(to, "\n  %-26s [%.*s]\n", "",
+                 static_cast<int>(commands.size()), commands.data());
 }
 
 int
 usage(std::FILE *to, const char *argv0)
 {
+    std::fprintf(to, "usage: %s <command> [options]\n\ncommands:\n", argv0);
+    for (const Command &c : kCommands) {
+        std::fprintf(to, "  %-13.*s %.*s\n", static_cast<int>(c.name.size()),
+                     c.name.data(), static_cast<int>(c.help.size()),
+                     c.help.data());
+    }
+    std::fprintf(to, "\noptions, as --opt VALUE or --opt=VALUE, with the "
+                     "commands that read each:\n");
+    for (const runner::JobField &f : runner::kJobFields) {
+        if (!f.flag.empty())
+            printOption(to, f.flag, f.arg, f.fallback, f.commands, f.help);
+    }
+    for (const Flag &f : kFlags)
+        printOption(to, f.name, f.arg, f.fallback, f.commands, f.help);
     std::string faults;
-    for (std::string_view f : validate::allFaultNames()) {
-        if (!faults.empty())
-            faults += "|";
-        faults += f;
-    }
-    std::fprintf(
-        to,
-        "usage: %s <%s> [options]\n"
-        "  --workload NAME  --kernel NAME  --machine bdw|knl|skx\n"
-        "  --instrs N  --warmup N  --cores N[,N...]  --csv\n"
-        "  --threads N (batch workers; 0 = all hardware threads)\n"
-        "  --workloads A,B,...  --machines A,B,...  (sweep grid axes)\n"
-        "  --engine batched|reference (accounting engine)\n"
-        "  --validate off|warn|strict  --watchdog-cycles N\n"
-        "  --job-cycles N (per-job cycle budget)  --job-timeout SECS\n"
-        "  --intervals N  --trace-out FILE  --report-out FILE\n"
-        "  --inject-fault KIND[:SEED] with KIND one of\n"
-        "      %s\n"
-        "  --perfect-icache --perfect-dcache --perfect-bpred --ideal-alu\n"
-        "  sweep resilience: --max-retries N  --retry-backoff-ms N\n"
-        "      --keep-going (exit 5 on partial success, 6 on total\n"
-        "      failure)  --fault-job SUBSTR  --journal FILE\n"
-        "      --resume FILE  (see docs/exit_codes.md)\n"
-        "  diff-report A B [--tol-abs X] [--tol-rel X]\n"
-        "      [--watch METRIC[:ABS[:REL]]]   (exit 4 on regression)\n"
-        "  --no-host-metrics (deterministic reports: host_metrics null)\n"
-        "  serve --socket PATH and/or --tcp PORT [--cache-mb N]\n"
-        "      [--heartbeat-ms N] [--drain-timeout SECS] [--slow-ms MS]\n"
-        "      [--slo-ms MS] [--trace-capacity N]\n"
-        "      (protocol in docs/serving.md; exit 7 bind failure,\n"
-        "      8 drain timeout)\n",
-        argv0, kCommands, faults.c_str());
+    for (std::string_view f : validate::allFaultNames())
+        faults += std::string(faults.empty() ? "" : "|") + std::string(f);
+    std::fprintf(to, "\nfault kinds: %s\n", faults.c_str());
     return to == stdout ? 0 : 2;
-}
-
-/**
- * Parse a non-negative integer option value strictly: a value outside
- * [@p min_value, @p max_value] is a usage error, never wrapped into a
- * narrower destination.
- */
-std::uint64_t
-parseCount(const std::string &flag, const std::string &text,
-           std::uint64_t min_value,
-           std::uint64_t max_value =
-               std::numeric_limits<std::uint64_t>::max())
-{
-    std::uint64_t out = 0;
-    const auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), out);
-    if (ec != std::errc{} || end != text.data() + text.size()) {
-        throw StackscopeError(ErrorCategory::kUsage,
-                              "value for " + flag +
-                                  " must be a non-negative integer, got '" +
-                                  text + "'");
-    }
-    if (out < min_value) {
-        throw StackscopeError(ErrorCategory::kUsage,
-                              flag + " must be >= " +
-                                  std::to_string(min_value) + ", got " +
-                                  text);
-    }
-    if (out > max_value) {
-        throw StackscopeError(ErrorCategory::kUsage,
-                              flag + " must be <= " +
-                                  std::to_string(max_value) + ", got " +
-                                  text);
-    }
-    return out;
-}
-
-/** parseCount() into an unsigned destination. */
-unsigned
-parseUnsigned(const std::string &flag, const std::string &text,
-              unsigned min_value,
-              unsigned max_value = std::numeric_limits<unsigned>::max())
-{
-    return static_cast<unsigned>(
-        parseCount(flag, text, min_value, max_value));
-}
-
-/** Longest accepted serve --drain-timeout (docs/serving.md). */
-constexpr std::uint64_t kMaxDrainTimeoutSeconds = 86'400;
-
-/** Parse a non-negative real option value strictly. */
-double
-parseReal(const std::string &flag, const std::string &text)
-{
-    try {
-        std::size_t end = 0;
-        const double out = std::stod(text, &end);
-        if (end == text.size() && out >= 0.0 && std::isfinite(out))
-            return out;
-    } catch (const std::exception &) {
-        // fall through to the uniform error below
-    }
-    throw StackscopeError(ErrorCategory::kUsage,
-                          "value for " + flag +
-                              " must be a finite non-negative number, "
-                              "got '" +
-                              text + "'");
 }
 
 /** Parse --watch METRIC[:ABS[:REL]] with @p defaults for omitted parts. */
@@ -353,262 +325,143 @@ parseWatch(const std::string &text, const obs::DiffTolerance &defaults)
     if (c1 == std::string::npos)
         return spec;
     const std::size_t c2 = text.find(':', c1 + 1);
-    spec.tol.abs = parseReal(
-        "--watch", text.substr(c1 + 1, c2 == std::string::npos
-                                           ? std::string::npos
-                                           : c2 - c1 - 1));
-    if (c2 != std::string::npos)
-        spec.tol.rel = parseReal("--watch", text.substr(c2 + 1));
+    spec.tol.abs = runner::decodeText(kReal, "watch",
+                                      std::string_view(text).substr(
+                                          c1 + 1, c2 == std::string::npos
+                                                      ? std::string::npos
+                                                      : c2 - c1 - 1))
+                       .real;
+    if (c2 != std::string::npos) {
+        spec.tol.rel =
+            runner::decodeText(kReal, "watch",
+                               std::string_view(text).substr(c2 + 1))
+                .real;
+    }
     return spec;
+}
+
+[[noreturn]] void
+refuse(const std::string &message)
+{
+    throw StackscopeError(ErrorCategory::kUsage, message);
 }
 
 /**
  * Parse the command line into @p opt; throws StackscopeError (category
- * kUsage) on unknown commands or options, missing values, and malformed
- * numbers. Both "--opt value" and "--opt=value" are accepted.
+ * kUsage) on an unknown command or option, an option the command does
+ * not read, a missing value, or a value the option does not accept.
  */
 void
 parseArgs(int argc, char **argv, CliOptions &opt)
 {
-    if (argc < 2) {
-        throw StackscopeError(ErrorCategory::kUsage,
-                              std::string("missing command (expected ") +
-                                  kCommands + ")");
-    }
+    std::string commands;
+    for (const Command &c : kCommands)
+        commands += std::string(commands.empty() ? "" : "|") +
+                    std::string(c.name);
+    if (argc < 2)
+        refuse("missing command (expected " + commands + ")");
     opt.command = argv[1];
-    const bool known_command =
-        opt.command == "list" || opt.command == "run" ||
-        opt.command == "bounds" || opt.command == "hpc" ||
-        opt.command == "compare-spec" || opt.command == "sweep" ||
-        opt.command == "phases" || opt.command == "diff-report" ||
-        opt.command == "serve" || opt.command == "help";
-    if (!known_command) {
-        throw StackscopeError(ErrorCategory::kUsage,
-                              "unknown command '" + opt.command +
-                                  "' (expected " + kCommands + ")");
-    }
+    if (std::none_of(std::begin(kCommands), std::end(kCommands),
+                     [&](const Command &c) { return c.name == opt.command; }))
+        refuse("unknown command '" + opt.command + "' (expected " +
+               commands + ")");
 
-    std::vector<std::string> watch_raw;
+    opt.job = runner::defaultJobSpec();
+    for (const Flag &f : kFlags) {
+        if (!f.fallback.empty())
+            f.set(opt, runner::decodeText(f.type, f.name, f.fallback));
+    }
+    bool watchdog_given = false;
+    bool intervals_given = false;
     for (int i = 2; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0) {
-            if (opt.command == "diff-report") {
-                opt.positionals.push_back(std::move(arg));
-                continue;
-            }
-            throw StackscopeError(ErrorCategory::kUsage,
-                                  "unexpected argument '" + arg + "'");
+            if (opt.command != "diff-report")
+                refuse("unexpected argument '" + arg + "'");
+            opt.positionals.push_back(std::move(arg));
+            continue;
         }
         std::optional<std::string> inline_value;
-        const std::size_t eq = arg.find('=');
-        if (eq != std::string::npos && arg.rfind("--", 0) == 0) {
+        if (const std::size_t eq = arg.find('='); eq != std::string::npos) {
             inline_value = arg.substr(eq + 1);
-            arg = arg.substr(0, eq);
+            arg.resize(eq);
         }
-        auto value = [&]() -> std::string {
+        const std::string_view name = std::string_view(arg).substr(2);
+        const runner::JobField *field = nullptr;
+        for (const runner::JobField &f : runner::kJobFields) {
+            if (!f.flag.empty() && f.flag == name)
+                field = &f;
+        }
+        const Flag *flag = nullptr;
+        for (const Flag &f : kFlags) {
+            if (f.name == name)
+                flag = &f;
+        }
+        if (field == nullptr && flag == nullptr)
+            refuse("unknown option '" + arg + "' (see `stackscope help`)");
+        const std::string_view readers =
+            field != nullptr ? field->commands : flag->commands;
+        if (!reads(readers, opt.command)) {
+            refuse(arg + " is not read by the " + opt.command +
+                   " command, only by: " + std::string(readers));
+        }
+        const FieldType &type = field != nullptr ? field->type : flag->type;
+        std::string text;
+        if (type.kind == FieldKind::kSwitch) {
             if (inline_value)
-                return *inline_value;
-            if (i + 1 >= argc) {
-                throw StackscopeError(ErrorCategory::kUsage,
-                                      "missing value for " + arg);
-            }
-            return argv[++i];
-        };
-        auto flagOnly = [&]() {
-            if (inline_value) {
-                throw StackscopeError(ErrorCategory::kUsage,
-                                      arg + " takes no value");
-            }
-        };
-        if (arg == "--workload") {
-            opt.workload = value();
-        } else if (arg == "--kernel") {
-            opt.kernel = value();
-        } else if (arg == "--machine") {
-            opt.machine = value();
-        } else if (arg == "--instrs") {
-            opt.instrs = parseCount(arg, value(), 1);
-        } else if (arg == "--warmup") {
-            opt.warmup = parseCount(arg, value(), 0);
-        } else if (arg == "--cores") {
+                refuse(arg + " takes no value");
+        } else if (inline_value) {
+            text = *inline_value;
+        } else if (i + 1 < argc) {
+            text = argv[++i];
+        } else {
+            refuse("missing value for " + arg);
+        }
+        if (flag != nullptr) {
+            flag->set(opt, runner::decodeText(type, name, text));
+        } else if (field->key == "cores") {
             // A comma list spans the sweep grid's cores axis; every other
             // command takes exactly one value.
             opt.cores_list.clear();
-            for (const std::string &c : splitList(arg, value())) {
-                opt.cores_list.push_back(
-                    parseUnsigned(arg, c, 1, runner::kMaxCores));
+            for (const std::string &c : splitList(name, text)) {
+                opt.cores_list.push_back(static_cast<unsigned>(
+                    runner::decodeText(type, name, c).count));
             }
-            if (opt.command != "sweep" && opt.cores_list.size() != 1) {
-                throw StackscopeError(ErrorCategory::kUsage,
-                                      "--cores accepts a comma list only "
-                                      "with the sweep command");
-            }
-            opt.cores = opt.cores_list.front();
-        } else if (arg == "--threads") {
-            opt.threads = parseUnsigned(arg, value(), 0);
-        } else if (arg == "--workloads") {
-            opt.workloads = splitList(arg, value());
-        } else if (arg == "--machines") {
-            opt.machines = splitList(arg, value());
-        } else if (arg == "--engine") {
-            const std::string engine = value();
-            if (engine == "reference") {
-                opt.reference_engine = true;
-            } else if (engine == "batched") {
-                opt.reference_engine = false;
-            } else {
-                throw StackscopeError(ErrorCategory::kUsage,
-                                      "bad --engine '" + engine +
-                                          "' (expected batched or "
-                                          "reference)");
-            }
-        } else if (arg == "--validate") {
-            const std::string mode = value();
-            const auto policy = validate::parsePolicy(mode);
-            if (!policy) {
-                throw StackscopeError(ErrorCategory::kUsage,
-                                      "bad --validate mode '" + mode +
-                                          "' (expected off, warn or "
-                                          "strict)");
-            }
-            opt.validation = *policy;
-        } else if (arg == "--inject-fault") {
-            opt.fault = validate::parseFaultSpec(value()).value();
-        } else if (arg == "--watchdog-cycles") {
-            opt.watchdog_cycles = parseCount(arg, value(), 0);
-        } else if (arg == "--job-cycles") {
-            opt.job_cycles = parseCount(arg, value(), 0);
-        } else if (arg == "--job-timeout") {
-            opt.job_timeout = parseReal(arg, value());
-        } else if (arg == "--max-retries") {
-            opt.max_retries = parseUnsigned(arg, value(), 0);
-        } else if (arg == "--retry-backoff-ms") {
-            opt.retry_backoff_ms = parseCount(arg, value(), 0);
-        } else if (arg == "--keep-going") {
-            flagOnly();
-            opt.keep_going = true;
-        } else if (arg == "--fault-job") {
-            opt.fault_job = value();
-        } else if (arg == "--journal") {
-            opt.journal_path = value();
-        } else if (arg == "--resume") {
-            opt.resume_path = value();
-        } else if (arg == "--intervals") {
-            opt.intervals = parseCount(arg, value(), 0);
-        } else if (arg == "--trace-out") {
-            opt.trace_out = value();
-        } else if (arg == "--report-out") {
-            opt.report_out = value();
-        } else if (arg == "--no-host-metrics") {
-            flagOnly();
-            opt.no_host_metrics = true;
-        } else if (arg == "--socket") {
-            opt.serve_socket = value();
-        } else if (arg == "--tcp") {
-            opt.serve_tcp =
-                static_cast<int>(parseCount(arg, value(), 0, 65535));
-        } else if (arg == "--cache-mb") {
-            opt.cache_mb = parseCount(arg, value(), 1);
-        } else if (arg == "--heartbeat-ms") {
-            opt.heartbeat_ms = parseCount(arg, value(), 1);
-        } else if (arg == "--drain-timeout") {
-            const std::string text = value();
-            opt.drain_timeout = parseReal(arg, text);
-            // cmdServe converts to integer milliseconds, which a huge
-            // finite value would overflow.
-            if (opt.drain_timeout >
-                static_cast<double>(kMaxDrainTimeoutSeconds)) {
-                throw StackscopeError(
-                    ErrorCategory::kUsage,
-                    "--drain-timeout must be at most " +
-                        std::to_string(kMaxDrainTimeoutSeconds) +
-                        " seconds, got '" + text + "'");
-            }
-        } else if (arg == "--slow-ms") {
-            opt.slow_ms = parseReal(arg, value());
-        } else if (arg == "--slo-ms") {
-            opt.slo_ms = parseReal(arg, value());
-            if (opt.slo_ms <= 0.0) {
-                throw StackscopeError(ErrorCategory::kUsage,
-                                      "--slo-ms must be positive");
-            }
-        } else if (arg == "--trace-capacity") {
-            opt.trace_capacity = parseCount(arg, value(), 1);
-        } else if (arg == "--tol-abs") {
-            opt.diff_tol.abs = parseReal(arg, value());
-        } else if (arg == "--tol-rel") {
-            opt.diff_tol.rel = parseReal(arg, value());
-        } else if (arg == "--watch") {
-            watch_raw.push_back(value());
-        } else if (arg == "--csv") {
-            flagOnly();
-            opt.csv = true;
-        } else if (arg == "--perfect-icache") {
-            flagOnly();
-            opt.ideal.perfect_icache = true;
-        } else if (arg == "--perfect-dcache") {
-            flagOnly();
-            opt.ideal.perfect_dcache = true;
-        } else if (arg == "--perfect-bpred") {
-            flagOnly();
-            opt.ideal.perfect_bpred = true;
-        } else if (arg == "--ideal-alu") {
-            flagOnly();
-            opt.ideal.single_cycle_alu = true;
+            if (opt.command != "sweep" && opt.cores_list.size() != 1)
+                refuse("--cores accepts a comma list only with the sweep "
+                       "command");
+            opt.job.cores = opt.cores_list.front();
         } else {
-            throw StackscopeError(ErrorCategory::kUsage,
-                                  "unknown option '" + arg +
-                                      "' (see `stackscope help`)");
+            field->set(opt.job, runner::decodeText(type, name, text));
+            watchdog_given |= field->key == "watchdog_cycles";
+            intervals_given |= field->key == "interval_cycles";
         }
     }
 
-    // Batch commands run many jobs; a single trace file would be
-    // ambiguous, so pipeline tracing is limited to one-run commands.
-    if (!opt.trace_out.empty() && opt.command != "run" &&
-        opt.command != "hpc" && opt.command != "phases") {
-        throw StackscopeError(ErrorCategory::kUsage,
-                              "--trace-out is only supported by the run, "
-                              "hpc and phases commands");
-    }
-    // Retry/quarantine/journaling semantics are defined per batch; only
-    // the sweep command runs a grid where they make sense.
-    if (opt.command != "sweep") {
-        if (opt.max_retries != 0 || opt.retry_backoff_ms ||
-            opt.keep_going || !opt.fault_job.empty() ||
-            !opt.journal_path.empty() || !opt.resume_path.empty()) {
-            throw StackscopeError(
-                ErrorCategory::kUsage,
-                "--max-retries, --retry-backoff-ms, --keep-going, "
-                "--fault-job, --journal and --resume are only supported "
-                "by the sweep command");
-        }
-    }
-    if (!opt.journal_path.empty() && !opt.resume_path.empty()) {
-        throw StackscopeError(ErrorCategory::kUsage,
-                              "--journal starts a fresh journal and "
-                              "--resume continues one; pass exactly one");
-    }
-    if (!opt.fault_job.empty() && !opt.fault) {
-        throw StackscopeError(ErrorCategory::kUsage,
-                              "--fault-job needs --inject-fault");
-    }
-    if (opt.command != "serve" &&
-        (!opt.serve_socket.empty() || opt.serve_tcp >= 0 ||
-         opt.slow_ms != 0.0 || opt.slo_ms != 50.0 ||
-         opt.trace_capacity != 256)) {
-        throw StackscopeError(ErrorCategory::kUsage,
-                              "--socket, --tcp, --slow-ms, --slo-ms and "
-                              "--trace-capacity are only supported by "
-                              "the serve command");
-    }
+    if (!opt.journal_path.empty() && !opt.resume_path.empty())
+        refuse("--journal starts a fresh journal and --resume continues "
+               "one; pass exactly one");
+    if (!opt.fault_job.empty() && !opt.job.options.fault)
+        refuse("--fault-job needs --inject-fault");
     // Watch specs resolve after the loop so --tol-abs/--tol-rel defaults
     // apply regardless of option order.
-    for (const std::string &raw : watch_raw)
-        opt.watches.push_back(parseWatch(raw, opt.diff_tol));
-    if (opt.command == "diff-report" && opt.positionals.size() != 2) {
-        throw StackscopeError(ErrorCategory::kUsage,
-                              "diff-report needs exactly two report paths");
-    }
+    for (const std::string &text : opt.watch_texts)
+        opt.watches.push_back(parseWatch(text, opt.diff_tol));
+    if (opt.command == "diff-report" && opt.positionals.size() != 2)
+        refuse("diff-report needs exactly two report paths");
+    if (opt.cores_list.empty())
+        opt.cores_list = {opt.job.cores};
+
+    sim::SimOptions &so = opt.job.options;
+    // Fault injection without an explicit watchdog still gets deadlock
+    // protection: a hung-trace fault would otherwise spin forever.
+    if (so.fault && !watchdog_given)
+        so.watchdog_cycles = 200'000;
+    // phases snapshots stacks every 1000 cycles unless told otherwise.
+    if (opt.command == "phases" && !intervals_given)
+        so.obs.interval_cycles = 1000;
+    so.obs.trace_events = !opt.trace_out.empty();
+    runner::addWarmup(opt.job);
 }
 
 /**
@@ -626,34 +479,11 @@ reportValidation(const validate::ValidationReport &report)
 }
 
 std::unique_ptr<trace::TraceSource>
-makeWorkloadTrace(const CliOptions &opt)
+makeWorkloadTrace(const runner::JobSpec &job)
 {
-    trace::SyntheticParams params =
-        trace::findWorkload(opt.workload).params;
-    params.num_instrs = opt.totalInstrs();
+    trace::SyntheticParams params = trace::findWorkload(job.workload).params;
+    params.num_instrs = job.instrs;
     return std::make_unique<trace::SyntheticGenerator>(params);
-}
-
-sim::SimOptions
-simOptions(const CliOptions &opt)
-{
-    sim::SimOptions so;
-    so.warmup_instrs = opt.warmupInstrs();
-    so.validation = opt.validation;
-    so.fault = opt.fault;
-    // Fault injection without an explicit watchdog still gets deadlock
-    // protection: a hung-trace fault would otherwise spin forever.
-    so.watchdog_cycles =
-        opt.watchdog_cycles.value_or(opt.fault ? 200'000 : 0);
-    so.deadline_cycles = opt.job_cycles;
-    so.job_timeout_seconds = opt.job_timeout;
-    // Observability: phases snapshots stacks every 1000 cycles unless
-    // overridden; everywhere else intervals are opt-in.
-    so.obs.interval_cycles =
-        opt.intervals.value_or(opt.command == "phases" ? 1000 : 0);
-    so.obs.trace_events = !opt.trace_out.empty();
-    so.reference_engine = opt.reference_engine;
-    return so;
 }
 
 void
@@ -714,17 +544,17 @@ int
 cmdRun(const CliOptions &opt)
 {
     const sim::MachineConfig machine =
-        sim::applyIdealization(sim::machineByName(opt.machine), opt.ideal);
-    auto trace = makeWorkloadTrace(opt);
-    const sim::SimOptions so = simOptions(opt);
+        sim::applyIdealization(sim::machineByName(opt.job.machine), opt.ideal);
+    auto trace = makeWorkloadTrace(opt.job);
+    const sim::SimOptions &so = opt.job.options;
     obs::ReportBuilder report("run");
 
-    if (opt.cores > 1) {
+    if (opt.job.cores > 1) {
         const sim::MulticoreResult r =
-            sim::simulateMulticore(machine, *trace, opt.cores, so);
+            sim::simulateMulticore(machine, *trace, opt.job.cores, so);
         reportValidation(r.validation);
-        report.add(opt.workload + "/" + machine.name + "/x" +
-                       std::to_string(opt.cores),
+        report.add(opt.job.workload + "/" + machine.name + "/x" +
+                       std::to_string(opt.job.cores),
                    so, r);
         maybeWriteReport(opt, report);
         maybeWriteTrace(opt, eventLogs(r));
@@ -740,7 +570,7 @@ cmdRun(const CliOptions &opt)
             return 0;
         }
         std::printf("%s on %s x%u: avg CPI %.3f (IPC %.2f)\n",
-                    opt.workload.c_str(), machine.name.c_str(), opt.cores,
+                    opt.job.workload.c_str(), machine.name.c_str(), opt.job.cores,
                     r.avg_cpi, r.avg_ipc);
         std::printf("%s",
                     analysis::renderCpiStacks(
@@ -755,7 +585,7 @@ cmdRun(const CliOptions &opt)
 
     const sim::SimResult r = sim::simulate(machine, *trace, so);
     reportValidation(r.validation);
-    report.add(opt.workload + "/" + machine.name, so, r);
+    report.add(opt.job.workload + "/" + machine.name, so, r);
     maybeWriteReport(opt, report);
     maybeWriteTrace(opt, {r.events});
     if (opt.csv) {
@@ -773,7 +603,7 @@ cmdRun(const CliOptions &opt)
         return 0;
     }
     std::printf("%s",
-                analysis::renderMultiStage(r, opt.workload).c_str());
+                analysis::renderMultiStage(r, opt.job.workload).c_str());
     std::printf("\nbranches %llu (%.2f%% mispredicted), loads %llu "
                 "(%.2f%% L1D misses)\n",
                 static_cast<unsigned long long>(r.stats.branches),
@@ -790,9 +620,9 @@ cmdRun(const CliOptions &opt)
 int
 cmdBounds(const CliOptions &opt)
 {
-    const sim::MachineConfig machine = sim::machineByName(opt.machine);
-    auto trace = makeWorkloadTrace(opt);
-    const sim::SimOptions so = simOptions(opt);
+    const sim::MachineConfig machine = sim::machineByName(opt.job.machine);
+    auto trace = makeWorkloadTrace(opt.job);
+    const sim::SimOptions &so = opt.job.options;
 
     // The real run and all four idealization pairs execute as one batch.
     runner::BatchRunner batch(opt.threads);
@@ -805,9 +635,9 @@ cmdBounds(const CliOptions &opt)
     reportValidation(study.validation);
 
     obs::ReportBuilder report("bounds");
-    report.add(opt.workload + "/" + machine.name + "/real", so, study.real);
+    report.add(opt.job.workload + "/" + machine.name + "/real", so, study.real);
     for (const analysis::IdealizationStudy::Entry &e : study.entries)
-        report.add(opt.workload + "/" + machine.name + "/" + e.knob.label,
+        report.add(opt.job.workload + "/" + machine.name + "/" + e.knob.label,
                    so, e.idealized);
     maybeWriteReport(opt, report);
 
@@ -815,7 +645,7 @@ cmdBounds(const CliOptions &opt)
         std::printf("component,lo,hi,actual,error\n");
     } else {
         std::printf("%s on %s: CPI %.3f\n  %-8s %9s %9s %9s %9s\n",
-                    opt.workload.c_str(), machine.name.c_str(),
+                    opt.job.workload.c_str(), machine.name.c_str(),
                     study.real.cpi, "comp", "lo", "hi", "actual", "error");
     }
     for (const analysis::IdealizationStudy::Entry &e : study.entries) {
@@ -895,7 +725,7 @@ sweepCsvRows(const SweepPoint &p, const runner::JobOutcome &o)
 int
 cmdSweep(const CliOptions &opt)
 {
-    const sim::SimOptions base = simOptions(opt);
+    const sim::SimOptions &base = opt.job.options;
 
     // Cartesian workload x machine x cores grid. Each point gets its own
     // options so --fault-job can confine the injected fault to matching
@@ -912,16 +742,11 @@ cmdSweep(const CliOptions &opt)
                 p.cores = c;
                 p.label = w + "/" + m + "/x" + std::to_string(c);
                 p.options = base;
-                if (opt.fault && !opt.fault_job.empty() &&
+                if (base.fault && !opt.fault_job.empty() &&
                     p.label.find(opt.fault_job) == std::string::npos)
                     p.options.fault.reset();
-                runner::JobSpec spec;
-                spec.workload = w;
-                spec.machine = m;
-                spec.cores = c;
-                spec.instrs = opt.totalInstrs();
-                spec.options = p.options;
-                p.hash = runner::specHash(spec);
+                p.hash = runner::specHash(
+                    {w, m, c, opt.job.instrs, p.options});
                 points.push_back(std::move(p));
             }
         }
@@ -960,7 +785,7 @@ cmdSweep(const CliOptions &opt)
             continue;
         trace::SyntheticParams params =
             trace::findWorkload(p.workload).params;
-        params.num_instrs = opt.totalInstrs();
+        params.num_instrs = opt.job.instrs;
         const trace::SyntheticGenerator gen(params);
         jobs.push_back(runner::makeJob(p.label,
                                        sim::machineByName(p.machine), gen,
@@ -968,11 +793,7 @@ cmdSweep(const CliOptions &opt)
         job_point.push_back(i);
     }
 
-    runner::BatchOptions bopts;
-    bopts.keep_going = opt.keep_going;
-    bopts.retry.max_retries = opt.max_retries;
-    if (opt.retry_backoff_ms)
-        bopts.retry.backoff = std::chrono::milliseconds(*opt.retry_backoff_ms);
+    runner::BatchOptions bopts = opt.batch;
     if (journal) {
         // Persist each completed point from the worker thread that
         // finished it: after a crash, everything already journaled
@@ -1051,7 +872,7 @@ int
 cmdHpc(const CliOptions &opt)
 {
     const sim::MachineConfig machine =
-        sim::applyIdealization(sim::machineByName(opt.machine), opt.ideal);
+        sim::applyIdealization(sim::machineByName(opt.job.machine), opt.ideal);
     const trace::HpcBenchmark *bench = nullptr;
     for (const trace::HpcBenchmark &bm : trace::deepBenchSuite()) {
         if (bm.name == opt.kernel)
@@ -1064,18 +885,18 @@ cmdHpc(const CliOptions &opt)
     }
     const trace::HpcTarget target{
         machine.core.flops_vec_lanes,
-        opt.machine == "knl" ? trace::SgemmCodegen::kKnlJit
+        opt.job.machine == "knl" ? trace::SgemmCodegen::kKnlJit
                              : trace::SgemmCodegen::kSkxBroadcast};
-    auto trace = bench->make(target, opt.totalInstrs());
-    const sim::SimOptions so = simOptions(opt);
+    auto trace = bench->make(target, opt.job.instrs);
+    const sim::SimOptions &so = opt.job.options;
 
     const sim::MulticoreResult r = sim::simulateMulticore(
-        machine, *trace, std::max(1u, opt.cores), so);
+        machine, *trace, opt.job.cores, so);
     reportValidation(r.validation);
 
     obs::ReportBuilder report("hpc");
     report.add(bench->name + "/" + machine.name + "/x" +
-                   std::to_string(std::max(1u, opt.cores)),
+                   std::to_string(opt.job.cores),
                so, r);
     maybeWriteReport(opt, report);
     maybeWriteTrace(opt, eventLogs(r));
@@ -1104,14 +925,14 @@ cmdHpc(const CliOptions &opt)
 int
 cmdCompareSpec(const CliOptions &opt)
 {
-    const sim::MachineConfig machine = sim::machineByName(opt.machine);
-    auto trace = makeWorkloadTrace(opt);
+    const sim::MachineConfig machine = sim::machineByName(opt.job.machine);
+    auto trace = makeWorkloadTrace(opt.job);
 
     // One job per wrong-path handling strategy, run as a single batch.
     std::vector<runner::SimJob> jobs;
     std::vector<std::string> labels;
     for (const stacks::SpeculationMode mode : stacks::kSpeculationModes) {
-        sim::SimOptions so = simOptions(opt);
+        sim::SimOptions so = opt.job.options;
         so.spec_mode = mode;
         labels.emplace_back(stacks::toString(mode));
         jobs.push_back(runner::makeJob(labels.back(), machine, *trace, so));
@@ -1128,14 +949,14 @@ cmdCompareSpec(const CliOptions &opt)
         const runner::JobOutcome &o = results.outcomes[i];
         reportValidation(o.single.validation);
         dispatch_stacks.push_back(o.single.cpiStack(Stage::kDispatch));
-        sim::SimOptions so = simOptions(opt);
+        sim::SimOptions so = opt.job.options;
         so.spec_mode = stacks::kSpeculationModes[i];
         report.add(o, so, 1);
     }
     maybeWriteReport(opt, report);
     std::printf("%s on %s: dispatch CPI stack per wrong-path handling "
                 "strategy (§III-B)\n",
-                opt.workload.c_str(), machine.name.c_str());
+                opt.job.workload.c_str(), machine.name.c_str());
     std::printf("%s",
                 analysis::renderCpiStacks(dispatch_stacks, labels, "")
                     .c_str());
@@ -1153,44 +974,44 @@ makePhasesTrace(const CliOptions &opt, const sim::MachineConfig &machine,
 {
     try {
         trace::SyntheticParams params =
-            trace::findWorkload(opt.workload).params;
-        params.num_instrs = opt.totalInstrs();
-        label = opt.workload;
+            trace::findWorkload(opt.job.workload).params;
+        params.num_instrs = opt.job.instrs;
+        label = opt.job.workload;
         return std::make_unique<trace::SyntheticGenerator>(params);
     } catch (const std::out_of_range &) {
         // Not a workload preset; fall through to the HPC kernel suite.
     }
     const trace::HpcBenchmark *pick = nullptr;
     for (const trace::HpcBenchmark &bm : trace::deepBenchSuite()) {
-        if (bm.name == opt.workload) {
+        if (bm.name == opt.job.workload) {
             pick = &bm;
             break;
         }
-        if (pick == nullptr && (bm.name.rfind(opt.workload, 0) == 0 ||
-                                bm.group.rfind(opt.workload, 0) == 0))
+        if (pick == nullptr && (bm.name.rfind(opt.job.workload, 0) == 0 ||
+                                bm.group.rfind(opt.job.workload, 0) == 0))
             pick = &bm;
     }
     if (pick == nullptr) {
         throw StackscopeError(ErrorCategory::kUsage,
-                              "unknown workload or kernel '" + opt.workload +
+                              "unknown workload or kernel '" + opt.job.workload +
                                   "' (see `stackscope list`)");
     }
     label = pick->name;
     const trace::HpcTarget target{
         machine.core.flops_vec_lanes,
-        opt.machine == "knl" ? trace::SgemmCodegen::kKnlJit
+        opt.job.machine == "knl" ? trace::SgemmCodegen::kKnlJit
                              : trace::SgemmCodegen::kSkxBroadcast};
-    return pick->make(target, opt.totalInstrs());
+    return pick->make(target, opt.job.instrs);
 }
 
 int
 cmdPhases(const CliOptions &opt)
 {
     const sim::MachineConfig machine =
-        sim::applyIdealization(sim::machineByName(opt.machine), opt.ideal);
+        sim::applyIdealization(sim::machineByName(opt.job.machine), opt.ideal);
     std::string label;
     auto trace = makePhasesTrace(opt, machine, label);
-    const sim::SimOptions so = simOptions(opt);
+    const sim::SimOptions &so = opt.job.options;
     if (so.obs.interval_cycles == 0) {
         throw StackscopeError(ErrorCategory::kUsage,
                               "phases needs --intervals >= 1");
@@ -1262,17 +1083,8 @@ handleServeSignal(int)
 int
 cmdServe(const CliOptions &opt)
 {
-    serve::ServeOptions so;
-    so.socket_path = opt.serve_socket;
-    so.tcp_port = opt.serve_tcp;
+    serve::ServeOptions so = opt.serve;
     so.threads = opt.threads;
-    so.cache_bytes = static_cast<std::size_t>(opt.cache_mb) << 20;
-    so.heartbeat = std::chrono::milliseconds(opt.heartbeat_ms);
-    so.drain_timeout = std::chrono::milliseconds(
-        static_cast<std::uint64_t>(opt.drain_timeout * 1000.0));
-    so.slow_ms = opt.slow_ms;
-    so.slo_ms = opt.slo_ms;
-    so.trace_capacity = static_cast<std::size_t>(opt.trace_capacity);
     try {
         serve::Server server(so);
         // A client vanishing mid-response must surface as EPIPE on the
